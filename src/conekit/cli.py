@@ -17,6 +17,7 @@ import time
 from . import __version__
 from .conelab import check_conjecture, degree_cone, lusztig_cone, negative_tight_cone
 from .hallalg import (
+    CountInconsistent,
     InterpolationInconsistent,
     ScaleExceeded,
     SplitTermSurvived,
@@ -44,6 +45,7 @@ from .rootsys import (
     parse_type,
 )
 from .tropflag import (
+    InvariantFailure,
     MissingCoordinate,
     initial_form,
     phi,
@@ -85,7 +87,7 @@ def _parse_d(text: str):
 
     try:
         return [Fraction(x) for x in text.split(",")]
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise ValueError(f"--d must be a comma list of rationals, got {text!r}")
 
 
@@ -377,7 +379,13 @@ def run(argv=None) -> int:
         if args.group == "trop":
             return _cmd_trop(args, started)
         return _cmd_paper_check(started)
-    except (SplitTermSurvived, InterpolationInconsistent, ConsistencyFailure) as exc:
+    except (
+        SplitTermSurvived,
+        InterpolationInconsistent,
+        CountInconsistent,
+        ConsistencyFailure,
+        InvariantFailure,
+    ) as exc:
         return _emit(
             f"{args.group}",
             {},

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .linalg import dot
 from .polycone import RationalCone, normalize_form
-from .quiverrep import DynkinQuiver, RepContext
+from .quiverrep import ConsistencyFailure, DynkinQuiver, RepContext
 from .rootsys import CartanMatrix, beta_sequence, k_shift, langlands_dual
 
 Word = tuple[int, ...]
@@ -88,8 +88,8 @@ def theorem_term_inequalities(c: CartanMatrix, word) -> list[tuple[int, ...]]:
     """The inequality forms of the commutator terms.
 
     These must coincide with the defining forms of the negative cone of the
-    dual root datum; the identity is asserted on every call since both
-    routes exist independently.
+    dual root datum; the identity is checked on every call since both
+    routes exist independently, and a mismatch raises ConsistencyFailure.
     """
     word = tuple(word)
     forms = [rec["form"] for rec in commutator_terms(c, word)]
@@ -99,7 +99,10 @@ def theorem_term_inequalities(c: CartanMatrix, word) -> list[tuple[int, ...]]:
     ]
     lhs = sorted(normalize_form(f) for f in forms)
     rhs = sorted(normalize_form(f) for f in dual_forms)
-    assert lhs == rhs, "commutator forms disagree with the dual negative cone"
+    if lhs != rhs:
+        raise ConsistencyFailure(
+            "commutator forms disagree with the dual negative cone"
+        )
     return forms
 
 

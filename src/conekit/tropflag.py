@@ -25,6 +25,10 @@ class MissingCoordinate(KeyError):
     pass
 
 
+class InvariantFailure(RuntimeError):
+    """An identity of the exchange relations or the weight map failed."""
+
+
 @dataclass(frozen=True)
 class PlueckerRelation:
     terms: tuple[Term, ...]
@@ -88,7 +92,8 @@ def _normalize_relation(raw_terms) -> tuple[Term, ...] | None:
     flip = -1 if terms[0][1] < 0 else 1
     out = tuple((flip * c, key[0], key[1]) for key, c in terms)
     # Coefficients in the one-element exchange family are always +-1.
-    assert all(abs(c) == 1 for c, _, _ in out), out
+    if any(abs(c) != 1 for c, _, _ in out):
+        raise InvariantFailure(f"exchange coefficient other than +-1 in {out}")
     return out
 
 
@@ -120,7 +125,10 @@ def pluecker_relations(n: int) -> list[PlueckerRelation]:
                     terms = _normalize_relation(raw)
                     if terms is None:
                         continue
-                    assert len(terms) >= 3, terms
+                    if len(terms) < 3:
+                        raise InvariantFailure(
+                            f"exchange relation with fewer than 3 terms: {terms}"
+                        )
                     if terms not in seen:
                         seen.add(terms)
                         out.append(PlueckerRelation(terms))
@@ -161,7 +169,8 @@ def phi(n: int, d) -> dict[Subset, Fraction]:
         qs = sorted(set(subset) - head, reverse=True)
         total = Fraction(0)
         for p, q in zip(ps, qs):
-            assert p <= k < q, (subset, p, q)
+            if not p <= k < q:
+                raise InvariantFailure(f"unmatched positions {p}, {q} in {subset}")
             total += vals[p, q - 1]
         out[subset] = total
     return out

@@ -78,6 +78,13 @@ def test_trop_check_pass_and_fail(capsys):
     assert "verification failure" in err
 
 
+def test_trop_check_zero_denominator_exits_one(capsys):
+    code, out, err = _invoke(capsys, ["trop", "check", "--n", "3", "--d", "1/0,0,0"])
+    assert code == 1
+    assert out == ""
+    assert err == "conekit: error: --d must be a comma list of rationals, got '1/0,0,0'\n"
+
+
 def test_trop_initial(capsys):
     code, out, _ = _invoke(capsys, ["trop", "initial", "--n", "3", "--d", "0,0,1"])
     assert code == 0

@@ -13,6 +13,7 @@ from conekit.hallalg import (
     HallElement,
     LaurentPoly,
     ScaleExceeded,
+    count_submodules,
     dim_vector,
     ext_dim,
     format_module,
@@ -30,7 +31,8 @@ from conekit.hallalg import (
     total_dim,
     verify_term_theorem,
 )
-from conekit.quiverrep import RepContext, equioriented_a
+from conekit.quiverrep import RepContext, enumerate_adapted_words, equioriented_a
+from hall_oracle import count_by_subspaces
 
 S1 = parse_module("1-1")
 S2 = parse_module("2-2")
@@ -131,10 +133,16 @@ def test_q_commutator_rejects_wrong_order():
 
 
 def test_scale_guard():
-    with pytest.raises(ScaleExceeded):
-        hall_product(5, parse_module("1-5"), parse_module("1-1"))
-    with pytest.raises(ScaleExceeded):
-        hall_product(2, parse_module("1-2^2"), parse_module("1-1^3"))
+    with pytest.raises(ScaleExceeded, match="vertices"):
+        hall_product(6, parse_module("1-6"), parse_module("1-1"))
+    with pytest.raises(ScaleExceeded, match="total dimension"):
+        hall_product(2, parse_module("1-2^2"), parse_module("1-1^5"))
+    # Ext^1(S1^4, S2^4) has dimension 16: 2^16 classes already at p = 2
+    with pytest.raises(ScaleExceeded, match="extension classes"):
+        hall_product(2, parse_module("1-1^4"), parse_module("2-2^4"))
+    # Gr(4, 8) needs a polynomial of degree 16, beyond the 14 primes
+    with pytest.raises(ScaleExceeded, match="prime table"):
+        hall_product(1, parse_module("1-1^4"), parse_module("1-1^4"))
 
 
 def test_divided_powers_give_bare_basis_classes():
@@ -250,19 +258,61 @@ def test_support_matches_exact_sequences(n, bound, word):
     assert checked >= 9
 
 
-def test_commutator_support_equals_middle_terms():
-    word = (3, 2, 3, 1, 2, 3)
-    ctx = RepContext(equioriented_a(3), word)
-    for k in range(1, 7):
-        for l in range(k + 1, 7):
+def _check_commutators_against_middle_terms(n: int, word) -> int:
+    """Every Ext pair (k, l) of the word: the support of [F_{U_l}, F_{U_k}]_q
+    is the set of oracle middle terms. Returns the number of pairs."""
+    ctx = RepContext(equioriented_a(n), word)
+    pairs = 0
+    for k in range(1, ctx.N + 1):
+        for l in range(k + 1, ctx.N + 1):
             if not ctx.ext_indec(l, k):
                 continue
             comm = q_commutator(
-                3,
+                n,
                 interval_of_root(ctx.betas[l - 1]),
                 interval_of_root(ctx.betas[k - 1]),
             )
             middles = {
-                module_from_positions(ctx, mid) for mid in ctx.middle_terms(k, l)
+                module_from_positions(ctx, mid)
+                for mid in ctx.middle_terms(k, l, mode="oracle")
             }
-            assert set(comm.terms) == middles
+            assert set(comm.terms) == middles, (word, k, l)
+            pairs += 1
+    return pairs
+
+
+def test_commutator_support_equals_middle_terms():
+    assert _check_commutators_against_middle_terms(3, (3, 2, 3, 1, 2, 3)) == 5
+
+
+def test_commutator_support_equals_middle_terms_a4_adapted_words():
+    words = enumerate_adapted_words(equioriented_a(4))
+    assert len(words) == 12
+    assert sum(_check_commutators_against_middle_terms(4, w) for w in words) == 180
+
+
+def test_commutator_support_equals_middle_terms_a5_staircase():
+    word = (5, 4, 5, 3, 4, 5, 2, 3, 4, 5, 1, 2, 3, 4, 5)
+    assert _check_commutators_against_middle_terms(5, word) == 35
+
+
+@pytest.mark.parametrize("n,bound", [(2, 4), (3, 4), (4, 3)])
+def test_counts_agree_with_subspace_oracle(n, bound):
+    """Riedtmann's formula against brute-force subspace enumeration, on
+    every (X, W, V) with V, W nonzero and dim V + dim W = dim X."""
+    mods = _modules_up_to(n, bound)
+    by_dim: dict = {}
+    for m in mods:
+        by_dim.setdefault(dim_vector(n, m), []).append(m)
+    counts = 0
+    for v, w in itertools.product(mods, repeat=2):
+        if total_dim(v) + total_dim(w) > bound:
+            continue
+        dx = tuple(a + b for a, b in zip(dim_vector(n, v), dim_vector(n, w)))
+        for x in by_dim[dx]:
+            for p in (2, 3, 5):
+                assert count_submodules(n, x, w, v, p) == count_by_subspaces(
+                    n, x, w, v, p
+                ), (x, w, v, p)
+                counts += 1
+    assert counts == {(2, 4): 366, (3, 4): 1839, (4, 3): 714}[n, bound]
