@@ -33,7 +33,7 @@ from .hallalg import (
     q_commutator,
 )
 from .linalg import dot, primitive
-from .polycone import normalize_form
+from .polycone import normalize_form, with_lines
 from .quiverrep import (
     DynkinQuiver,
     RepContext,
@@ -162,11 +162,7 @@ def criterion_containment() -> tuple[bool, dict]:
                 langlands_dual(quiver.cartan), word
             ).inequalities
         ]
-        gens = list(d_cone.rays)
-        for l in d_cone.lineality:
-            gens.append(l)
-            gens.append(tuple(-x for x in l))
-        for g in gens:
+        for g in with_lines(d_cone.rays, d_cone.lineality):
             for f in neg_forms:
                 checked += 1
                 if dot(f, g) < 0:
@@ -243,23 +239,20 @@ def criterion_hall_agreement() -> tuple[bool, dict]:
         quiver = equioriented_a(rank)
         for word in enumerate_adapted_words(quiver):
             ctx = RepContext(quiver, word)
-            for k in range(1, ctx.N + 1):
-                for l in range(k + 1, ctx.N + 1):
-                    if ctx.ext_indec(l, k) == 0:
-                        continue
-                    comm = q_commutator(
-                        rank,
-                        interval_of_root(ctx.betas[l - 1]),
-                        interval_of_root(ctx.betas[k - 1]),
-                    )
-                    middles = {
-                        module_from_positions(ctx, m)
-                        for m in ctx.middle_terms(k, l, mode="oracle")
-                    }
-                    pairs_checked += 1
-                    if set(comm.support()) != middles:
-                        ok = False
-                        mismatches.append({"word": list(word), "pair": [k, l]})
+            for k, l in ctx.ext_pairs():
+                comm = q_commutator(
+                    rank,
+                    interval_of_root(ctx.betas[l - 1]),
+                    interval_of_root(ctx.betas[k - 1]),
+                )
+                middles = {
+                    module_from_positions(ctx, m)
+                    for m in ctx.middle_terms(k, l, mode="oracle")
+                }
+                pairs_checked += 1
+                if set(comm.support()) != middles:
+                    ok = False
+                    mismatches.append({"word": list(word), "pair": [k, l]})
     s1, s2, p1 = ((1, 1),), ((2, 2),), ((1, 2),)
     split = normalize_module([(1, 1), (2, 2)])
     product = hall_product(2, s1, s2)

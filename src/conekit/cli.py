@@ -19,7 +19,6 @@ from .conelab import check_conjecture, degree_cone, lusztig_cone, negative_tight
 from .hallalg import (
     CountInconsistent,
     InterpolationInconsistent,
-    ScaleExceeded,
     SplitTermSurvived,
     hall_polynomial,
     hall_product,
@@ -27,11 +26,8 @@ from .hallalg import (
     q_commutator,
     verify_term_theorem,
 )
-from .polycone import ZeroCone
 from .quiverrep import (
     ConsistencyFailure,
-    NotAdapted,
-    NotSimplyLaced,
     RepContext,
     check_superfluous_conjecture,
     ktheory_cones,
@@ -39,7 +35,6 @@ from .quiverrep import (
 )
 from .rootsys import (
     CapExceeded,
-    NotReduced,
     beta_sequence,
     enumerate_reduced_words,
     parse_type,
@@ -55,15 +50,8 @@ from .tropflag import (
 )
 from . import certify
 
-USAGE_ERRORS = (
-    ValueError,
-    NotReduced,
-    CapExceeded,
-    NotAdapted,
-    NotSimplyLaced,
-    ScaleExceeded,
-    MissingCoordinate,
-)
+# Exit 1: every rejected input is a ValueError, apart from these two.
+USAGE_ERRORS = (ValueError, CapExceeded, MissingCoordinate)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,12 +120,10 @@ def build_parser() -> _Parser:
         p = cone_sub.add_parser(verb)
         p.add_argument("--type", required=True)
         p.add_argument("--word", required=True)
-    p = cone_sub.add_parser("degree")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--word", required=True)
-    p = cone_sub.add_parser("check")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--word", required=True)
+    for verb in ("degree", "check"):
+        p = cone_sub.add_parser(verb)
+        p.add_argument("--quiver", required=True)
+        p.add_argument("--word", required=True)
     p.add_argument("--type", help="optional cross-check against the quiver's type")
 
     quiver = sub.add_parser("quiver", help="module-category combinatorics")
@@ -184,8 +170,8 @@ def build_parser() -> _Parser:
 
 
 def _cmd_roots(args, started: float) -> int:
+    c = parse_type(args.type)
     if args.verb == "betas":
-        c = parse_type(args.type)
         word = _parse_word(args.word)
         betas = beta_sequence(c, word)
         return _emit(
@@ -194,7 +180,6 @@ def _cmd_roots(args, started: float) -> int:
             {"betas": [list(b) for b in betas]},
             started,
         )
-    c = parse_type(args.type)
     words = enumerate_reduced_words(c)
     return _emit(
         "roots.words",
@@ -206,25 +191,17 @@ def _cmd_roots(args, started: float) -> int:
 
 def _cmd_cone(args, started: float) -> int:
     word = _parse_word(args.word)
-    if args.verb in ("lusztig", "negative"):
-        c = parse_type(args.type)
-        builder = lusztig_cone if args.verb == "lusztig" else negative_tight_cone
-        cone = builder(c, word)
-        return _emit(
-            f"cone.{args.verb}",
-            {"type": args.type, "word": list(word)},
-            {"cone": cone.to_dict(), "profile": cone.analyze().__dict__},
-            started,
-        )
+    if args.verb != "check":
+        if args.verb == "degree":
+            inputs = {"quiver": args.quiver, "word": list(word)}
+            cone = degree_cone(parse_quiver(args.quiver), word)
+        else:
+            inputs = {"type": args.type, "word": list(word)}
+            builder = lusztig_cone if args.verb == "lusztig" else negative_tight_cone
+            cone = builder(parse_type(args.type), word)
+        result = {"cone": cone.to_dict(), "profile": cone.analyze().__dict__}
+        return _emit(f"cone.{args.verb}", inputs, result, started)
     quiver = parse_quiver(args.quiver)
-    if args.verb == "degree":
-        cone = degree_cone(quiver, word)
-        return _emit(
-            "cone.degree",
-            {"quiver": args.quiver, "word": list(word)},
-            {"cone": cone.to_dict(), "profile": cone.analyze().__dict__},
-            started,
-        )
     if args.type and parse_type(args.type).entries != quiver.cartan.entries:
         raise ValueError(f"--type {args.type} does not match --quiver {args.quiver}")
     report = check_conjecture(quiver, word)
@@ -247,15 +224,13 @@ def _cmd_quiver(args, started: float) -> int:
         return _emit("quiver.ar", inputs, ctx.ar_data(), started)
     if args.verb == "middle":
         ctx = RepContext(quiver, word)
-        pairs = []
-        for k in range(1, ctx.N + 1):
-            for l in range(k + 1, ctx.N + 1):
-                if ctx.ext_indec(l, k) == 0:
-                    continue
-                pairs.append({
-                    "pair": [k, l],
-                    "middle_terms": [list(m) for m in ctx.middle_terms(k, l, args.mode)],
-                })
+        pairs = [
+            {
+                "pair": [k, l],
+                "middle_terms": [list(m) for m in ctx.middle_terms(k, l, args.mode)],
+            }
+            for k, l in ctx.ext_pairs()
+        ]
         return _emit(
             "quiver.middle", {**inputs, "mode": args.mode}, {"pairs": pairs}, started
         )
@@ -342,7 +317,7 @@ def _cmd_trop(args, started: float) -> int:
     )
 
 
-def _cmd_paper_check(started: float) -> int:
+def _cmd_paper_check(args, started: float) -> int:
     report = certify.run_all()
     stripped = {
         "passed": report["passed"],
@@ -363,22 +338,22 @@ def _cmd_paper_check(started: float) -> int:
     return _emit("paper-check", {}, stripped, started, code)
 
 
+COMMANDS = {
+    "roots": _cmd_roots,
+    "cone": _cmd_cone,
+    "quiver": _cmd_quiver,
+    "hall": _cmd_hall,
+    "trop": _cmd_trop,
+    "paper-check": _cmd_paper_check,
+}
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        if args.group == "roots":
-            return _cmd_roots(args, started)
-        if args.group == "cone":
-            return _cmd_cone(args, started)
-        if args.group == "quiver":
-            return _cmd_quiver(args, started)
-        if args.group == "hall":
-            return _cmd_hall(args, started)
-        if args.group == "trop":
-            return _cmd_trop(args, started)
-        return _cmd_paper_check(started)
+        return COMMANDS[args.group](args, started)
     except (
         SplitTermSurvived,
         InterpolationInconsistent,
@@ -394,9 +369,6 @@ def run(argv=None) -> int:
             2,
         )
     except USAGE_ERRORS as exc:
-        print(f"conekit: error: {exc}", file=sys.stderr)
-        return 1
-    except ZeroCone as exc:
         print(f"conekit: error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,26 +15,25 @@ from dataclasses import dataclass
 from .linalg import dot
 from .polycone import RationalCone, normalize_form
 from .quiverrep import ConsistencyFailure, DynkinQuiver, RepContext
-from .rootsys import CartanMatrix, beta_sequence, k_shift, langlands_dual
+from .rootsys import CartanMatrix, beta_sequence, langlands_dual, tight_pairs
 
 Word = tuple[int, ...]
 
 
-def _tight_pairs(word) -> list[tuple[int, int]]:
-    return [
-        (p, nxt) for p in range(1, len(word) + 1)
-        if (nxt := k_shift(word, p)) is not None
-    ]
+def _term_form(size: int, k: int, l: int, inner) -> tuple[int, ...]:
+    """Coefficients of d_k + d_l - sum_s inner[s] d_s over `size` positions."""
+    coeffs = [0] * size
+    coeffs[k - 1] += 1
+    coeffs[l - 1] += 1
+    for s, m in inner.items():
+        coeffs[s - 1] -= m
+    return tuple(coeffs)
 
 
 def _pair_coefficients(c: CartanMatrix, word, p: int, p1: int) -> tuple[int, ...]:
     """The vector of x_p + x_{p'} + sum a(i_p, i_s) x_s over positions."""
-    coeffs = [0] * len(word)
-    coeffs[p - 1] += 1
-    coeffs[p1 - 1] += 1
-    for s in range(p + 1, p1):
-        coeffs[s - 1] += c.a(word[p - 1], word[s - 1])
-    return tuple(coeffs)
+    inner = {s: -c.a(word[p - 1], word[s - 1]) for s in range(p + 1, p1)}
+    return _term_form(len(word), p, p1, inner)
 
 
 def lusztig_cone(c: CartanMatrix, word) -> RationalCone:
@@ -44,7 +43,7 @@ def lusztig_cone(c: CartanMatrix, word) -> RationalCone:
     N = len(word)
     forms = [
         tuple(-x for x in _pair_coefficients(c, word, p, p1))
-        for p, p1 in _tight_pairs(word)
+        for p, p1 in tight_pairs(word)
     ]
     forms += [tuple(1 if t == s else 0 for t in range(N)) for s in range(N)]
     return RationalCone.from_inequalities(N, forms)
@@ -56,7 +55,7 @@ def negative_tight_cone(c: CartanMatrix, word) -> RationalCone:
     beta_sequence(c, word)
     N = len(word)
     forms = [
-        _pair_coefficients(c, word, p, p1) for p, p1 in _tight_pairs(word)
+        _pair_coefficients(c, word, p, p1) for p, p1 in tight_pairs(word)
     ]
     return RationalCone.from_inequalities(N, forms)
 
@@ -71,16 +70,12 @@ def commutator_terms(c: CartanMatrix, word) -> list[dict]:
     word = tuple(word)
     beta_sequence(c, word)
     out = []
-    for k, l in _tight_pairs(word):
+    for k, l in tight_pairs(word):
         mults = {
             s: -c.a(word[s - 1], word[k - 1]) for s in range(k + 1, l)
         }
-        coeffs = [0] * len(word)
-        coeffs[k - 1] += 1
-        coeffs[l - 1] += 1
-        for s, m in mults.items():
-            coeffs[s - 1] -= m
-        out.append({"pair": (k, l), "multiplicities": mults, "form": tuple(coeffs)})
+        form = _term_form(len(word), k, l, mults)
+        out.append({"pair": (k, l), "multiplicities": mults, "form": form})
     return out
 
 
@@ -95,7 +90,7 @@ def theorem_term_inequalities(c: CartanMatrix, word) -> list[tuple[int, ...]]:
     forms = [rec["form"] for rec in commutator_terms(c, word)]
     dual_forms = [
         _pair_coefficients(langlands_dual(c), word, p, p1)
-        for p, p1 in _tight_pairs(word)
+        for p, p1 in tight_pairs(word)
     ]
     lhs = sorted(normalize_form(f) for f in forms)
     rhs = sorted(normalize_form(f) for f in dual_forms)
@@ -109,39 +104,23 @@ def theorem_term_inequalities(c: CartanMatrix, word) -> list[tuple[int, ...]]:
 def root_sum_identity(c: CartanMatrix, word) -> bool:
     """beta_k + beta_{k[1]} = sum c_s beta_s on the inner window, all pairs."""
     word = tuple(word)
-    betas = beta_sequence(c, word)
-    n = c.rank
-    for rec in commutator_terms(c, word):
-        k, l = rec["pair"]
-        total = [0] * n
-        for s, m in rec["multiplicities"].items():
-            for i in range(n):
-                total[i] += m * betas[s - 1][i]
-        expected = [betas[k - 1][i] + betas[l - 1][i] for i in range(n)]
-        if total != expected:
-            return False
-    return True
+    coordinates = list(zip(*beta_sequence(c, word)))
+    # each form d_k + d_l - sum c_s d_s must vanish on every root coordinate
+    return not any(
+        dot(rec["form"], xs) for rec in commutator_terms(c, word) for xs in coordinates
+    )
 
 
 def degree_cone(quiver: DynkinQuiver, word, ctx: RepContext | None = None) -> RationalCone:
     """Inequalities d_k + d_l >= sum n_t d_t over all extension middle terms."""
     if ctx is None:
         ctx = RepContext(quiver, word)
-    N = ctx.N
-    forms = set()
-    for k in range(1, N + 1):
-        for l in range(k + 1, N + 1):
-            if ctx.ext_indec(l, k) == 0:
-                continue
-            for x in ctx.middle_terms(k, l, mode="oracle"):
-                coeffs = [0] * N
-                coeffs[k - 1] += 1
-                coeffs[l - 1] += 1
-                for t, m in enumerate(x, start=1):
-                    if m:
-                        coeffs[t - 1] -= m
-                forms.add(normalize_form(coeffs))
-    return RationalCone.from_inequalities(N, sorted(forms))
+    forms = {
+        normalize_form(_term_form(ctx.N, k, l, dict(enumerate(x, start=1))))
+        for k, l in ctx.ext_pairs()
+        for x in ctx.middle_terms(k, l, mode="oracle")
+    }
+    return RationalCone.from_inequalities(ctx.N, sorted(forms))
 
 
 @dataclass(frozen=True)
@@ -168,15 +147,11 @@ class ConeReport:
 
 def _missing_ray_witness(small: RationalCone, big: RationalCone, kind: str) -> dict:
     """A generator of `small` outside `big`, with the inequality it violates."""
-    facets, span_perp = big.dualrep()
-    for r in list(small.rays) + [v for l in small.lineality for v in (l, tuple(-x for x in l))]:
-        for f in facets:
-            if dot(f, r) < 0:
-                return {"kind": kind, "ray": list(r), "violated_form": list(f)}
-        for e in span_perp:
-            if dot(e, r) != 0:
-                return {"kind": kind, "ray": list(r), "violated_equation": list(e)}
-    raise AssertionError("no witness found although containment failed")
+    found = big.missing_generator(small)
+    if found is None:
+        raise ConsistencyFailure("no witness found although containment failed")
+    ray, (what, form) = found
+    return {"kind": kind, "ray": list(ray), f"violated_{what}": list(form)}
 
 
 def check_conjecture(quiver: DynkinQuiver, word) -> ConeReport:

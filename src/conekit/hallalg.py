@@ -21,6 +21,7 @@ from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
 
+from .quiverrep import RepContext, bounded_multisets, equioriented_a, euler_form
 from .rootsys import k_shift
 
 Interval = tuple[int, int]
@@ -83,10 +84,7 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.c)
-        for e, v in other.c.items():
-            out[e] = out.get(e, 0) - v
-        return LaurentPoly(out)
+        return self + -other
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -v for e, v in self.c.items()})
@@ -229,14 +227,10 @@ def hom_dim(m: Module, n: Module) -> int:
     return sum(hom_intervals(i, j) for i in m for j in n)
 
 
-def euler_form(n: int, d, e) -> int:
-    return sum(d[i] * e[i] for i in range(n)) - sum(
-        d[i] * e[i + 1] for i in range(n - 1)
-    )
-
-
 def ext_dim(n: int, m: Module, w: Module) -> int:
-    return hom_dim(m, w) - euler_form(n, dim_vector(n, m), dim_vector(n, w))
+    return hom_dim(m, w) - euler_form(
+        equioriented_a(n), dim_vector(n, m), dim_vector(n, w)
+    )
 
 
 def _check_scale(n: int, m: Module):
@@ -532,10 +526,7 @@ class HallElement:
         return HallElement(self.n, out)
 
     def __sub__(self, other: "HallElement") -> "HallElement":
-        out = dict(self.terms)
-        for mod, poly in other.terms.items():
-            out[mod] = out.get(mod, LaurentPoly.zero()) - poly
-        return HallElement(self.n, out)
+        return self + other.scaled(LaurentPoly.integer(-1))
 
     def scaled(self, poly: LaurentPoly) -> "HallElement":
         return HallElement(self.n, {m: p * poly for m, p in self.terms.items()})
@@ -565,30 +556,6 @@ class HallElement:
         )
 
 
-def _all_modules_with_dims(n: int, target) -> list[Module]:
-    intervals = [
-        (a, b) for a in range(1, n + 1) for b in range(a, n + 1)
-        if all(target[v - 1] > 0 for v in range(a, b + 1))
-    ]
-    out: list[Module] = []
-
-    def walk(idx: int, remaining, chosen: list[Interval]):
-        if all(x == 0 for x in remaining):
-            out.append(tuple(sorted(chosen)))
-            return
-        if idx == len(intervals):
-            return
-        a, b = intervals[idx]
-        cap = min(remaining[v - 1] for v in range(a, b + 1))
-        for m in range(cap, -1, -1):
-            walk(idx + 1, tuple(
-                r - m if a <= v + 1 <= b else r for v, r in enumerate(remaining)
-            ), chosen + [(a, b)] * m)
-
-    walk(0, tuple(target), [])
-    return sorted(set(out))
-
-
 def hall_product(n: int, m1: Module, m2: Module) -> HallElement:
     """F_{M1} . F_{M2} in the twisted Hall algebra."""
     return _hall_product_cached(n, normalize_module(m1), normalize_module(m2))
@@ -601,10 +568,16 @@ def _hall_product_cached(n: int, m1: Module, m2: Module) -> HallElement:
     )
     _check_scale(n, m1 + m2)
     base_exp = hom_dim(m1, m1) + hom_dim(m2, m2) + euler_form(
-        n, dim_vector(n, m1), dim_vector(n, m2)
+        equioriented_a(n), dim_vector(n, m1), dim_vector(n, m2)
+    )
+    intervals = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
+    columns = [dim_vector(n, (iv,)) for iv in intervals]
+    modules = sorted(
+        tuple(iv for iv, m in zip(intervals, mults) for _ in range(m))
+        for mults in bounded_multisets(target, columns)
     )
     terms: dict[Module, LaurentPoly] = {}
-    for x in _all_modules_with_dims(n, target):
+    for x in modules:
         h = hall_polynomial(n, m1, m2, x)
         if h.is_zero():
             continue
@@ -616,14 +589,21 @@ def _hall_product_cached(n: int, m1: Module, m2: Module) -> HallElement:
 def q_commutator(n: int, v: Interval, u: Interval) -> HallElement:
     """[F_V, F_U]_q = F_V F_U - q^{[U,V]-[V,U]^1} F_U F_V for directed U, V.
 
-    The split class U+V must cancel exactly; if it survives, the exponent
-    convention has been violated and the computation aborts.
+    Directed means Hom(V,U) = 0 and Ext1(U,V) = 0; any other pair is
+    rejected with ValueError. The split class U+V must cancel exactly; if it
+    survives, the exponent convention has been violated and the computation
+    aborts.
     """
     vm: Module = (tuple(v),)
     um: Module = (tuple(u),)
-    if hom_dim(vm, um) != 0 and v != u:
+    _check_scale(n, vm + um)
+    if hom_dim(vm, um) != 0:
         raise ValueError(
             f"Hom({format_module(vm)},{format_module(um)}) != 0: wrong order"
+        )
+    if ext_dim(n, um, vm) != 0:
+        raise ValueError(
+            f"Ext^1({format_module(um)},{format_module(vm)}) != 0: wrong order"
         )
     exponent = hom_dim(um, vm) - ext_dim(n, vm, um)
     left = hall_product(n, vm, um)
@@ -642,15 +622,11 @@ def pbw_monomial(n: int, factors) -> HallElement:
     out: HallElement | None = None
     for interval, mult in factors:
         single: Module = (tuple(interval),)
-        power: HallElement | None = None
-        for _ in range(mult):
-            power = (
-                HallElement.basis(n, single)
-                if power is None
-                else _element_times_basis(power, single)
-            )
-        if power is None:
+        if mult < 1:
             continue
+        power = HallElement.basis(n, single)
+        for _ in range(mult - 1):
+            power = _element_product(power, HallElement.basis(n, single))
         divided = HallElement(
             n,
             {m: p.divide_exact(q_factorial(mult)) for m, p in power.terms.items()},
@@ -659,17 +635,11 @@ def pbw_monomial(n: int, factors) -> HallElement:
     return out if out is not None else HallElement(n, {(): LaurentPoly.one()})
 
 
-def _element_times_basis(elem: HallElement, m2: Module) -> HallElement:
-    out = HallElement(elem.n, {})
-    for m1, poly in elem.terms.items():
-        out = out + hall_product(elem.n, m1, m2).scaled(poly)
-    return out
-
-
 def _element_product(a: HallElement, b: HallElement) -> HallElement:
     out = HallElement(a.n, {})
-    for m2, poly in b.terms.items():
-        out = out + _element_times_basis(a, m2).scaled(poly)
+    for m2, p2 in b.terms.items():
+        for m1, p1 in a.terms.items():
+            out = out + hall_product(a.n, m1, m2).scaled(p1 * p2)
     return out
 
 
@@ -697,8 +667,7 @@ def module_from_positions(ctx, mult) -> Module:
 
 
 def _require_equioriented(quiver):
-    expected = tuple((i, i + 1) for i in range(1, quiver.n))
-    if tuple(sorted(quiver.arrows)) != expected:
+    if tuple(sorted(quiver.arrows)) != equioriented_a(quiver.n).arrows:
         raise ScaleExceeded(
             "the finite-field oracle only supports the equioriented A quiver"
         )
@@ -711,8 +680,6 @@ def verify_term_theorem(quiver, word, k: int) -> dict:
     of the module with multiplicity c_s = -a(i_s, i_k) on each inner position
     s; returns the commutator support and the verdict.
     """
-    from .quiverrep import RepContext
-
     _require_equioriented(quiver)
     ctx = RepContext(quiver, word)
     l = k_shift(ctx.word, k)

@@ -35,6 +35,11 @@ def normalize_form(coeffs, allow_zero: bool = False) -> IntVec:
     return v
 
 
+def with_lines(rays, lines) -> list[IntVec]:
+    """Generators of a cone as a list: the rays, the lines, the negated lines."""
+    return list(rays) + list(lines) + [tuple(-x for x in l) for l in lines]
+
+
 def _reduce_mod_rows(v: IntVec, basis: list[IntVec]) -> IntVec:
     """Canonical representative of v modulo the row space of an RREF basis."""
     vec = [Fraction(x) for x in v]
@@ -149,7 +154,7 @@ class RationalCone:
     @classmethod
     def from_generators(cls, dim: int, rays, lineality=()) -> "RationalCone":
         gens = []
-        for r in list(rays) + list(lineality) + [tuple(-x for x in l) for l in lineality]:
+        for r in with_lines(rays, lineality):
             if len(r) != dim:
                 raise DimensionMismatch(f"generator {r} does not have length {dim}")
             v = normalize_form(r, allow_zero=True)
@@ -164,8 +169,7 @@ class RationalCone:
     def _forms_for_dd(self) -> list[IntVec]:
         if self._ineqs is not None:
             return list(self._ineqs)
-        facets, span_perp = self._dualrep
-        return list(facets) + [l for l in span_perp] + [tuple(-x for x in l) for l in span_perp]
+        return with_lines(*self._dualrep)
 
     def vrep(self) -> tuple[list[IntVec], list[IntVec]]:
         if self._vrep is None:
@@ -175,9 +179,7 @@ class RationalCone:
     def dualrep(self) -> tuple[list[IntVec], list[IntVec]]:
         """V-representation of the dual cone: (facet normals, span-complement)."""
         if self._dualrep is None:
-            rays, lin = self.vrep()
-            forms = list(rays) + list(lin) + [tuple(-x for x in l) for l in lin]
-            self._dualrep = dd_vrep(self.dim, sorted(set(forms)))
+            self._dualrep = dd_vrep(self.dim, sorted(set(with_lines(*self.vrep()))))
         return self._dualrep
 
     @property
@@ -200,9 +202,7 @@ class RationalCone:
     def inequalities(self) -> tuple[IntVec, ...]:
         if self._ineqs is not None:
             return self._ineqs
-        facets, span_perp = self.dualrep()
-        forms = list(facets) + list(span_perp) + [tuple(-x for x in l) for l in span_perp]
-        return tuple(sorted(set(forms)))
+        return tuple(sorted(set(with_lines(*self.dualrep()))))
 
     # -- structure ---------------------------------------------------------
 
@@ -225,24 +225,36 @@ class RationalCone:
 
     # -- point and cone queries ---------------------------------------------
 
+    def violation(self, v):
+        """("form", f) for the first facet with f.v < 0, else ("equation", e)
+        for the first span equation with e.v != 0, else None (v is inside)."""
+        facets, span_perp = self.dualrep()
+        for f in facets:
+            if dot(f, v) < 0:
+                return "form", f
+        for e in span_perp:
+            if dot(e, v) != 0:
+                return "equation", e
+        return None
+
+    def missing_generator(self, other: "RationalCone"):
+        """(g, violation) for the first `with_lines` generator g of `other`
+        outside this cone, or None when this cone contains `other`."""
+        for g in with_lines(*other.vrep()):
+            found = self.violation(g)
+            if found is not None:
+                return g, found
+        return None
+
     def contains_point(self, v) -> bool:
         if len(v) != self.dim:
             raise DimensionMismatch("point has the wrong length")
-        facets, span_perp = self.dualrep()
-        return all(dot(f, v) >= 0 for f in facets) and all(dot(e, v) == 0 for e in span_perp)
+        return self.violation(v) is None
 
     def contains(self, other: "RationalCone") -> bool:
         if other.dim != self.dim:
             raise DimensionMismatch("cones live in different spaces")
-        facets, span_perp = self.dualrep()
-        rays, lin = other.vrep()
-        for r in rays:
-            if any(dot(f, r) < 0 for f in facets) or any(dot(e, r) != 0 for e in span_perp):
-                return False
-        for l in lin:
-            if any(dot(f, l) != 0 for f in facets) or any(dot(e, l) != 0 for e in span_perp):
-                return False
-        return True
+        return self.missing_generator(other) is None
 
     def compare(self, other: "RationalCone") -> str:
         """One of 'equal', 'a_subset_b', 'b_subset_a', 'incomparable'."""

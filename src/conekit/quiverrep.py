@@ -2,29 +2,41 @@
 
 Everything here is matrix-free: a module is a multiplicity vector over the
 directed enumeration U_1..U_N of indecomposables attached to an adapted
-reduced word, and Hom/Ext dimensions come from the Euler form together with
-directedness. The mesh structure (arrows, translation, path order) is
+reduced word. `RepContext` tabulates `euler_form` once for every ordered
+pair of indecomposables; by directedness that one table gives all Hom and
+Ext dimensions. The mesh structure (arrows, translation, path order) is
 rebuilt combinatorially from the word and cross-validated against the Euler
 form; any disagreement raises ConsistencyFailure rather than guessing.
+
+`bounded_multisets` is the one capped module enumerator (middle-term
+fillings, K-theory modules, Hall modules of a dimension vector); cone
+witnesses come from `RationalCone.missing_generator`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .linalg import integerize, nullspace_basis, primitive, rank, solve
+from . import rootsys
+from .linalg import dot, integerize, nullspace_basis, primitive, rank, solve
 from .polycone import DimensionMismatch, RationalCone
 from .rootsys import (
+    CapExceeded,
     CartanMatrix,
     beta_sequence,
     cartan_from_entries,
     highest_root,
     k_shift,
+    longest_words,
     num_positive_roots,
+    tight_pairs,
 )
 
 Word = tuple[int, ...]
 Mult = tuple[int, ...]
+
+MAX_MULTISETS = 100_000  # results of one bounded_multisets call
 
 
 class NotAdapted(ValueError):
@@ -126,6 +138,7 @@ def parse_quiver(text: str) -> DynkinQuiver:
     return quiver_from_arrows(n, arrows)
 
 
+@lru_cache(maxsize=None)
 def equioriented_a(n: int) -> DynkinQuiver:
     return quiver_from_arrows(n, [(i, i + 1) for i in range(1, n)])
 
@@ -165,59 +178,67 @@ def enumerate_adapted_words(quiver: DynkinQuiver) -> list[Word]:
 
     Full-length sink sequences need not be reduced (reflecting at a sink can
     revisit a reflection too early), so the search prunes on both the sink
-    condition and positivity of the upcoming root.
+    condition and positivity of the upcoming root. Raises CapExceeded past
+    ``rootsys.MAX_WORDS`` words.
     """
-    cartan = quiver.cartan
-    n = cartan.rank
-    total = num_positive_roots(cartan)
-    out: list[Word] = []
-    identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return longest_words(
+        quiver.cartan, rootsys.MAX_WORDS, "adapted words", quiver,
+        lambda q: sorted(q.sinks()), DynkinQuiver.reflected,
+    )
 
-    def walk(q: DynkinQuiver, m, prefix: list[int]):
-        if len(prefix) == total:
-            out.append(tuple(prefix))
+
+def bounded_multisets(target, columns, exact: bool = True) -> list[tuple[int, ...]]:
+    """Every n >= 0 with sum_t n_t col_t <= target, or == target when exact.
+
+    Columns are nonnegative with a positive entry; one positive where the
+    target is zero only admits n_t = 0 and is skipped. Raises CapExceeded
+    past MAX_MULTISETS results.
+
+    >>> bounded_multisets((2, 1), [(1, 0), (0, 1), (1, 1)])
+    [(1, 0, 1), (2, 1, 0)]
+    """
+    if any(x < 0 for x in target):
+        return []
+    usable = [
+        t for t, col in enumerate(columns)
+        if all(x > 0 for c, x in zip(col, target) if c > 0)
+    ]
+    out: list[tuple[int, ...]] = []
+    chosen = [0] * len(columns)
+
+    def emit():
+        if len(out) >= MAX_MULTISETS:
+            raise CapExceeded(f"more than {MAX_MULTISETS} modules to enumerate")
+        out.append(tuple(chosen))
+
+    def walk(idx: int, remaining):
+        if not any(remaining):
+            emit()  # every later column would need a coefficient of 0
             return
-        for v in sorted(q.sinks()):
-            beta = tuple(m[r][v - 1] for r in range(n))
-            if any(x < 0 for x in beta) or all(x == 0 for x in beta):
-                continue
-            arow = cartan.entries[v - 1]
-            m2 = tuple(
-                tuple(m[r][j] - m[r][v - 1] * arow[j] for j in range(n))
-                if m[r][v - 1]
-                else m[r]
-                for r in range(n)
-            )
-            prefix.append(v)
-            walk(q.reflected(v), m2, prefix)
-            prefix.pop()
+        if idx == len(usable):
+            if not exact:
+                emit()
+            return
+        t = usable[idx]
+        col = columns[t]
+        cap = min(r // c for r, c in zip(remaining, col) if c > 0)
+        for m in range(cap + 1):
+            chosen[t] = m
+            walk(idx + 1, tuple(r - m * c for r, c in zip(remaining, col)))
+        chosen[t] = 0
 
-    walk(quiver, identity, [])
+    walk(0, tuple(target))
     return out
 
 
-def _enumerate_fillings(target, betas_by_pos: list[tuple[int, Mult]]) -> list[dict]:
-    """All nonnegative solutions of sum n_t beta_t = target over given positions."""
-    results: list[dict] = []
-
-    def walk(idx: int, remaining, chosen: dict):
-        if idx == len(betas_by_pos):
-            if all(x == 0 for x in remaining):
-                results.append(dict(chosen))
-            return
-        pos, beta = betas_by_pos[idx]
-        # Positive roots have a positive coordinate, so the cap is finite.
-        cap = min(r // b for r, b in zip(remaining, beta) if b > 0)
-        for m in range(cap + 1):
-            if m:
-                chosen[pos] = m
-            else:
-                chosen.pop(pos, None)
-            walk(idx + 1, tuple(r - m * b for r, b in zip(remaining, beta)), chosen)
-        chosen.pop(pos, None)
-
-    walk(0, tuple(target), {})
-    return results
+def euler_form(quiver: DynkinQuiver, d, e) -> int:
+    """<d, e> = sum d_v e_v - sum over arrows d_src e_tgt."""
+    n = quiver.n
+    if len(d) != n or len(e) != n:
+        raise ValueError(f"dimension vectors must have length {n}")
+    total = sum(d[v] * e[v] for v in range(n))
+    total -= sum(d[s - 1] * e[t - 1] for s, t in quiver.arrows)
+    return total
 
 
 class RepContext:
@@ -236,39 +257,39 @@ class RepContext:
         self.betas = beta_sequence(quiver.cartan, word)
         self.N = len(word)
         self.n = quiver.cartan.rank
-        self._hom = self._hom_table()
-        self.projectives = self._first_occurrences()
-        self.injectives = self._last_occurrences()
+        # Euler form of every ordered pair; directedness makes it Hom on and
+        # above the diagonal and minus Ext1 below it.
+        self._euler = tuple(
+            tuple(euler_form(quiver, b, c) for c in self.betas) for b in self.betas
+        )
+        self.translation = {l: k for k, l in tight_pairs(word)}
+        self.projectives = tuple(
+            p for p in range(1, self.N + 1) if p not in self.translation
+        )
+        later = set(self.translation.values())
+        self.injectives = tuple(p for p in range(1, self.N + 1) if p not in later)
         self.arrows = self._mesh_arrows()
-        self.translation = {
-            pos: k for pos in range(1, self.N + 1)
-            if (k := self._previous_occurrence(pos)) is not None
-        }
         self._reach = self._reachability()
         self._validate()
 
     # -- constituents ------------------------------------------------------
 
-    def euler(self, d, e) -> int:
-        total = sum(di * ei for di, ei in zip(d, e))
-        for s, t in self.quiver.arrows:
-            total -= d[s - 1] * e[t - 1]
-        return total
-
-    def _hom_table(self):
-        table = [[0] * self.N for _ in range(self.N)]
-        for k in range(self.N):
-            for l in range(k, self.N):
-                table[k][l] = self.euler(self.betas[k], self.betas[l])
-        return tuple(tuple(row) for row in table)
-
     def hom_indec(self, k: int, l: int) -> int:
         """dim Hom(U_k, U_l); zero for k > l by directedness."""
-        return self._hom[k - 1][l - 1] if k <= l else 0
+        return self._euler[k - 1][l - 1] if k <= l else 0
 
     def ext_indec(self, k: int, l: int) -> int:
         """dim Ext1(U_k, U_l); zero for k <= l by directedness."""
-        return -self.euler(self.betas[k - 1], self.betas[l - 1]) if k > l else 0
+        return -self._euler[k - 1][l - 1] if k > l else 0
+
+    def ext_pairs(self) -> list[tuple[int, int]]:
+        """Every (k, l) with k < l and Ext1(U_l, U_k) != 0, in order."""
+        return [
+            (k, l)
+            for k in range(1, self.N + 1)
+            for l in range(k + 1, self.N + 1)
+            if self.ext_indec(l, k)
+        ]
 
     def unit(self, k: int) -> Mult:
         return tuple(1 if t == k - 1 else 0 for t in range(self.N))
@@ -280,48 +301,7 @@ class RepContext:
                 out[i] += mk * beta[i]
         return tuple(out)
 
-    def total_dim(self, m) -> int:
-        return sum(self.dim_vector(m))
-
-    def hom_dim(self, m1, m2) -> int:
-        total = 0
-        for k, a in enumerate(m1):
-            if a:
-                row = self._hom[k]
-                for l, b in enumerate(m2):
-                    if b and k <= l:
-                        total += a * b * row[l]
-        return total
-
-    def ext_dim(self, m1, m2) -> int:
-        total = 0
-        for k, a in enumerate(m1):
-            if a:
-                for l, b in enumerate(m2):
-                    if b and k > l:
-                        total -= a * b * self.euler(self.betas[k], self.betas[l])
-        return total
-
     # -- mesh structure ----------------------------------------------------
-
-    def _first_occurrences(self) -> tuple[int, ...]:
-        seen = {}
-        for pos, letter in enumerate(self.word, start=1):
-            seen.setdefault(letter, pos)
-        return tuple(sorted(seen.values()))
-
-    def _last_occurrences(self) -> tuple[int, ...]:
-        seen = {}
-        for pos, letter in enumerate(self.word, start=1):
-            seen[letter] = pos
-        return tuple(sorted(seen.values()))
-
-    def _previous_occurrence(self, pos: int) -> int | None:
-        letter = self.word[pos - 1]
-        for k in range(pos - 1, 0, -1):
-            if self.word[k - 1] == letter:
-                return k
-        return None
 
     def _mesh_arrows(self) -> tuple[tuple[int, int], ...]:
         arrows = []
@@ -396,18 +376,22 @@ class RepContext:
 
     # -- degeneration ------------------------------------------------------
 
-    def hom_leq_strict(self, x, y) -> bool:
-        """x properly degenerates to y: [Z,x] <= [Z,y] for all indec Z, once strict."""
+    def _hom_dominated(self, x, y, zs) -> bool:
+        """[U_z, x] <= [U_z, y] for every z in zs, strictly for at least one."""
+        diff = [b - a for a, b in zip(x, y)]
         strict = False
-        for z in range(1, self.N + 1):
-            u = self.unit(z)
-            a = self.hom_dim(u, x)
-            b = self.hom_dim(u, y)
-            if a > b:
+        for z in zs:
+            # [U_z, M] only sees the summands at or after z
+            gap = sum(d * e for d, e in zip(diff[z - 1:], self._euler[z - 1][z - 1:]))
+            if gap < 0:
                 return False
-            if a < b:
+            if gap > 0:
                 strict = True
         return strict
+
+    def hom_leq_strict(self, x, y) -> bool:
+        """x properly degenerates to y: [Z,x] <= [Z,y] for all indec Z, once strict."""
+        return self._hom_dominated(x, y, range(1, self.N + 1))
 
     def degenerates_properly(self, x, u, v) -> bool:
         if self.dim_vector(x) != tuple(
@@ -444,12 +428,12 @@ class RepContext:
                 for t in range(k + 1, l)
                 if self.preceq(k, t) and self.preceq(t, l)
             ]
-        fillings = _enumerate_fillings(
-            target, [(t, self.betas[t - 1]) for t in window]
-        )
         out = []
-        for filling in fillings:
-            key = tuple(filling.get(t, 0) for t in range(1, self.N + 1))
+        for filling in bounded_multisets(target, [self.betas[t - 1] for t in window]):
+            key = [0] * self.N
+            for t, m in zip(window, filling):
+                key[t - 1] = m
+            key = tuple(key)
             if mode == "oracle":
                 if self.degenerates_properly(key, self.unit(k), self.unit(l)):
                     out.append(key)
@@ -475,17 +459,7 @@ class RepContext:
             for z in range(1, self.N + 1)
             if self.preceq(k1, z) and self.preceq(z, l)
         ]
-        strict = False
-        ul = self.unit(l)
-        for z in zs:
-            u = self.unit(z)
-            a = self.hom_dim(u, x)
-            b = self.hom_dim(u, ul)
-            if a > b:
-                return False
-            if a < b:
-                strict = True
-        return strict
+        return self._hom_dominated(x, self.unit(l), zs)
 
     def superfluous_check(self) -> dict:
         """Compare the relaxed window filter against the degeneration oracle.
@@ -496,28 +470,25 @@ class RepContext:
         """
         pairs = []
         counterexamples = []
-        for k in range(1, self.N + 1):
-            for l in range(k + 1, self.N + 1):
-                if self.ext_indec(l, k) == 0:
-                    continue
-                oracle = self.middle_terms(k, l, mode="oracle")
-                relaxed = self.middle_terms(k, l, mode="relaxed")
-                missing = [x for x in oracle if x not in relaxed]
-                if missing:
-                    raise ConsistencyFailure(
-                        f"oracle term {missing[0]} escapes the window at ({k},{l})"
-                    )
-                extra = [x for x in relaxed if x not in oracle]
-                pairs.append(
-                    {
-                        "pair": [k, l],
-                        "oracle": [list(x) for x in oracle],
-                        "relaxed": [list(x) for x in relaxed],
-                        "agree": not extra,
-                    }
+        for k, l in self.ext_pairs():
+            oracle = self.middle_terms(k, l, mode="oracle")
+            relaxed = self.middle_terms(k, l, mode="relaxed")
+            missing = [x for x in oracle if x not in relaxed]
+            if missing:
+                raise ConsistencyFailure(
+                    f"oracle term {missing[0]} escapes the window at ({k},{l})"
                 )
-                for x in extra:
-                    counterexamples.append({"pair": [k, l], "candidate": list(x)})
+            extra = [x for x in relaxed if x not in oracle]
+            pairs.append(
+                {
+                    "pair": [k, l],
+                    "oracle": [list(x) for x in oracle],
+                    "relaxed": [list(x) for x in relaxed],
+                    "agree": not extra,
+                }
+            )
+            for x in extra:
+                counterexamples.append({"pair": [k, l], "candidate": list(x)})
         return {
             "word": list(self.word),
             "quiver": str(self.quiver),
@@ -529,26 +500,10 @@ class RepContext:
 
     # -- Grothendieck-group cones ------------------------------------------
 
-    def _modules_up_to(self, bound: int) -> list[Mult]:
-        heights = [sum(b) for b in self.betas]
-        out: list[Mult] = []
-
-        def walk(idx: int, budget: int, prefix: list[int]):
-            if idx == self.N:
-                out.append(tuple(prefix))
-                return
-            h = heights[idx]
-            for m in range(budget // h + 1):
-                prefix.append(m)
-                walk(idx + 1, budget - m * h, prefix)
-                prefix.pop()
-
-        walk(0, bound, [])
-        return out
-
     def _extension_deltas(self, bound: int) -> set[Mult]:
+        heights = [(sum(b),) for b in self.betas]
         by_dim: dict[tuple[int, ...], list[Mult]] = {}
-        for m in self._modules_up_to(bound):
+        for m in bounded_multisets((bound,), heights, exact=False):
             by_dim.setdefault(self.dim_vector(m), []).append(m)
         deltas: set[Mult] = set()
         for group in by_dim.values():
@@ -594,19 +549,18 @@ class RepContext:
             return integerize(coeffs)
 
         e_gens = sorted({to_lambda(d) for d in self._extension_deltas(bound)})
+        if not e_gens:
+            raise ValueError(f"no extension generators below the bound {bound}")
         e_next = sorted({to_lambda(d) for d in self._extension_deltas(bound + 1)})
-        non_proj = [k for k in range(1, self.N + 1) if k not in self.projectives]
         d_gens = []
-        for k in non_proj:
-            functional = tuple(self.hom_indec(k, l) for l in range(1, self.N + 1))
-            d_gens.append(tuple(dot_int(functional, b) for b in lam))
+        for k in sorted(self.translation):  # the non-projectives
+            functional = [self.hom_indec(k, l) for l in range(1, self.N + 1)]
+            d_gens.append(tuple(dot(functional, b) for b in lam))
         m = self.N - self.n
-        e_cone = RationalCone.from_generators(m, e_gens) if e_gens else None
-        e_cone_next = RationalCone.from_generators(m, e_next) if e_next else None
+        e_cone = RationalCone.from_generators(m, e_gens)
+        e_cone_next = RationalCone.from_generators(m, e_next)
         d_cone = RationalCone.from_generators(m, d_gens)
         d_independent = rank(d_gens) == len(d_gens)
-        if e_cone is None or e_cone_next is None:
-            raise ConsistencyFailure("no extension generators below the bound")
         stabilized = e_cone.same_cone(e_cone_next)
         duality = e_cone.same_cone(d_cone.dual())
         report = {
@@ -626,29 +580,14 @@ class RepContext:
         return report
 
 
-def dot_int(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
 def _containment_witness(a: RationalCone, b: RationalCone) -> dict:
-    """A ray of one cone violating a facet of the other, as plain data."""
-    for r in a.rays:
-        if not b.contains_point(r):
-            return {"ray_of": "E", "ray": list(r)}
-    for r in b.rays:
-        if not a.contains_point(r):
-            return {"ray_of": "D_dual", "ray": list(r)}
+    """A ray of one cone outside the other, as plain data."""
+    for ray_of, small, big in (("E", a, b), ("D_dual", b, a)):
+        found = big.missing_generator(small)
+        # generators come rays first, so a line here means no ray is outside
+        if found is not None and found[0] in small.rays:
+            return {"ray_of": ray_of, "ray": list(found[0])}
     return {"note": "cones differ only in lineality"}
-
-
-def euler_form(quiver: DynkinQuiver, d, e) -> int:
-    """<d, e> = sum d_v e_v - sum over arrows d_src e_tgt."""
-    n = quiver.n
-    if len(d) != n or len(e) != n:
-        raise ValueError(f"dimension vectors must have length {n}")
-    total = sum(d[v] * e[v] for v in range(n))
-    total -= sum(d[s - 1] * e[t - 1] for s, t in quiver.arrows)
-    return total
 
 
 def ar_quiver(quiver: DynkinQuiver, word) -> RepContext:

@@ -23,6 +23,8 @@ Word = tuple[int, ...]
 
 FAMILIES = "ABCDEFG"
 
+MAX_WORDS = 100_000  # results of either word enumeration before CapExceeded
+
 
 class NotReduced(ValueError):
     """Raised when a word is not reduced; ``position`` is 1-based."""
@@ -86,34 +88,16 @@ def _symmetrizers(entries) -> tuple[int, ...]:
 
 
 def _is_positive_definite(entries, sym) -> bool:
+    """Sylvester's criterion: all elimination pivots of D.A are positive."""
     n = len(entries)
     b = [[Fraction(sym[i] * entries[i][j]) for j in range(n)] for i in range(n)]
-    # Leading principal minors via fraction-free elimination.
-    for k in range(n):
-        minor = [row[: k + 1] for row in b[: k + 1]]
-        det = _det(minor)
-        if det <= 0:
-            return False
-    return True
-
-
-def _det(mat) -> Fraction:
-    mat = [list(row) for row in mat]
-    n = len(mat)
-    det = Fraction(1)
     for c in range(n):
-        pivot = next((r for r in range(c, n) if mat[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = mat[c][c]
+        if b[c][c] <= 0:
+            return False
         for r in range(c + 1, n):
-            f = mat[r][c] / inv
-            mat[r] = [x - f * y for x, y in zip(mat[r], mat[c])]
-    return det
+            f = b[r][c] / b[c][c]
+            b[r] = [x - f * y for x, y in zip(b[r], b[c])]
+    return True
 
 
 def cartan_from_entries(entries, label: str = "") -> CartanMatrix:
@@ -247,6 +231,27 @@ def _is_positive(v: RootVector) -> bool:
     return any(x > 0 for x in v) and all(x >= 0 for x in v)
 
 
+def _identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def reflect_step(c: CartanMatrix, m, letter: int):
+    """``(beta, m . s_letter)``, where ``m`` (a tuple of rows) is the matrix of
+    ``s_{i_1} ... s_{i_{t-1}}`` and ``beta`` is its column ``letter``.
+
+    >>> beta, m = reflect_step(cartan_matrix("A", 2), ((1, 0), (0, 1)), 1)
+    >>> beta, m
+    ((1, 0), ((-1, 1), (0, 1)))
+    """
+    col = letter - 1
+    arow = c.entries[col]
+    beta = tuple(row[col] for row in m)
+    return beta, tuple(
+        tuple(x - row[col] * a for x, a in zip(row, arow)) if row[col] else row
+        for row in m
+    )
+
+
 def beta_sequence(c: CartanMatrix, word: Word) -> tuple[RootVector, ...]:
     """Roots ``beta_t = s_{i_1} ... s_{i_{t-1}}(alpha_{i_t})`` of a reduced word.
 
@@ -261,18 +266,12 @@ def beta_sequence(c: CartanMatrix, word: Word) -> tuple[RootVector, ...]:
         if not 1 <= letter <= n:
             raise ValueError(f"letter {letter} out of range at position {t}")
     betas: list[RootVector] = []
-    # m holds the matrix of s_{i_1}...s_{i_{t-1}} acting on coordinate columns.
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    m = _identity(n)
     for t, letter in enumerate(word, start=1):
-        beta = tuple(m[r][letter - 1] for r in range(n))
+        beta, m = reflect_step(c, m, letter)
         if not _is_positive(beta):
             raise NotReduced(t)
         betas.append(beta)
-        arow = c.entries[letter - 1]
-        for r in range(n):
-            pivot = m[r][letter - 1]
-            if pivot:
-                m[r] = [m[r][j] - pivot * arow[j] for j in range(n)]
     return tuple(betas)
 
 
@@ -296,6 +295,14 @@ def k_shift(word: Word, k: int, s: int = 1) -> int | None:
             if seen == s:
                 return t
     return None
+
+
+def tight_pairs(word: Word) -> list[tuple[int, int]]:
+    """Each position with the next occurrence of its letter, in order."""
+    return [
+        (p, nxt) for p in range(1, len(word) + 1)
+        if (nxt := k_shift(word, p)) is not None
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -324,39 +331,41 @@ def highest_root(c: CartanMatrix) -> RootVector:
     return positive_roots(c)[-1]
 
 
-def enumerate_reduced_words(c: CartanMatrix, cap: int = 100_000) -> list[Word]:
+def longest_words(c: CartanMatrix, cap: int, what: str, state, letters, advance):
+    """Longest-element words from one reflection walk over ``letters(state)``.
+
+    A letter is kept while its root stays positive; ``advance`` gives the
+    next state. Raises CapExceeded past ``cap`` words.
+    """
+    total = num_positive_roots(c)
+    out: list[Word] = []
+
+    def walk(state, m, prefix: list[int]):
+        if len(prefix) == total:
+            if len(out) >= cap:
+                raise CapExceeded(f"more than {cap} {what}")
+            out.append(tuple(prefix))
+            return
+        for letter in letters(state):
+            beta, m2 = reflect_step(c, m, letter)
+            if _is_positive(beta):
+                prefix.append(letter)
+                walk(advance(state, letter), m2, prefix)
+                prefix.pop()
+
+    walk(state, _identity(c.rank), [])
+    return out
+
+
+def enumerate_reduced_words(c: CartanMatrix, cap: int = MAX_WORDS) -> list[Word]:
     """All reduced words of the longest element, in lexicographic order.
 
     Raises CapExceeded as soon as the result would outgrow ``cap``.
     """
-    n = c.rank
-    total = num_positive_roots(c)
-    results: list[Word] = []
-    identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-    def extend(m, prefix):
-        if len(prefix) == total:
-            if len(results) >= cap:
-                raise CapExceeded(f"more than {cap} reduced words")
-            results.append(tuple(prefix))
-            return
-        for letter in range(1, n + 1):
-            beta = tuple(m[r][letter - 1] for r in range(n))
-            if not _is_positive(beta):
-                continue
-            arow = c.entries[letter - 1]
-            m2 = tuple(
-                tuple(m[r][j] - m[r][letter - 1] * arow[j] for j in range(n))
-                if m[r][letter - 1]
-                else m[r]
-                for r in range(n)
-            )
-            prefix.append(letter)
-            extend(m2, prefix)
-            prefix.pop()
-
-    extend(identity, [])
-    return results
+    letters = range(1, c.rank + 1)
+    return longest_words(
+        c, cap, "reduced words", None, lambda _: letters, lambda state, _: state
+    )
 
 
 def staircase_word(n: int) -> Word:

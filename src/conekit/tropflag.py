@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import rank
+from .linalg import dot, rank
 
 Subset = tuple[int, ...]
 Term = tuple[int, Subset, Subset]  # sign, A, B with A, B sorted tuples
@@ -139,17 +139,17 @@ def pluecker_relations(n: int) -> list[PlueckerRelation]:
 # -- the weight map ----------------------------------------------------------
 
 
-def _coerce_root_values(n: int, d) -> dict[tuple[int, int], Fraction]:
+def _coerce_root_values(n: int, d) -> list[Fraction]:
     pairs = pair_order(n)
     if hasattr(d, "keys"):
         vals = {tuple(k): Fraction(v) for k, v in d.items()}
         if sorted(vals) != sorted(pairs):
             raise ValueError(f"d must have exactly the keys {pairs}")
-        return vals
+        return [vals[pair] for pair in pairs]
     seq = [Fraction(x) for x in d]
     if len(seq) != len(pairs):
         raise ValueError(f"d must have {len(pairs)} entries, got {len(seq)}")
-    return dict(zip(pairs, seq))
+    return seq
 
 
 def phi(n: int, d) -> dict[Subset, Fraction]:
@@ -157,23 +157,14 @@ def phi(n: int, d) -> dict[Subset, Fraction]:
 
     For I not an initial segment, match the ascending complement positions
     [k] \\ I against the descending excess I \\ [k] and sum the root
-    coordinates d_{p, q-1}; initial segments get weight zero.
+    coordinates d_{p, q-1}; initial segments get weight zero. This is
+    `phi_matrix(n)` applied to d.
     """
     _check_n(n)
-    vals = _coerce_root_values(n, d)
-    out: dict[Subset, Fraction] = {}
-    for subset in all_subsets(n):
-        k = len(subset)
-        head = set(range(1, k + 1))
-        ps = sorted(head - set(subset))
-        qs = sorted(set(subset) - head, reverse=True)
-        total = Fraction(0)
-        for p, q in zip(ps, qs):
-            if not p <= k < q:
-                raise InvariantFailure(f"unmatched positions {p}, {q} in {subset}")
-            total += vals[p, q - 1]
-        out[subset] = total
-    return out
+    dvec = _coerce_root_values(n, d)
+    return {
+        subset: dot(row, dvec) for subset, row in zip(all_subsets(n), phi_matrix(n))
+    }
 
 
 def phi_matrix(n: int) -> list[tuple[Fraction, ...]]:
@@ -187,6 +178,8 @@ def phi_matrix(n: int) -> list[tuple[Fraction, ...]]:
         ps = sorted(head - set(subset))
         qs = sorted(set(subset) - head, reverse=True)
         for p, q in zip(ps, qs):
+            if not p <= k < q:
+                raise InvariantFailure(f"unmatched positions {p}, {q} in {subset}")
             row[pairs.index((p, q - 1))] += 1
         rows.append(tuple(row))
     return rows

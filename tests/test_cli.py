@@ -168,3 +168,27 @@ def test_usage_errors_exit_one(capsys):
 def test_unknown_top_level_verb(capsys):
     code, _, _ = _invoke(capsys, ["frobnicate"])
     assert code == 1
+
+
+def test_ktheory_bound_out_of_range_exits_one(capsys):
+    argv = ["quiver", "ktheory", "--quiver", "1>2,2>3", "--word", "3,2,3,1,2,3", "--bound"]
+    for bound, message in (
+        ("0", "no extension generators below the bound 0"),
+        ("1", "no extension generators below the bound 1"),
+        ("30", "more than 100000 modules to enumerate"),
+    ):
+        code, out, err = _invoke(capsys, argv + [bound])
+        assert code == 1
+        assert out == ""
+        assert err == f"conekit: error: {message}\n"
+
+
+def test_hall_comm_rejects_undirected_pairs(capsys):
+    for v, u, message in (
+        ("1-1", "1-1", "Hom(1-1,1-1) != 0: wrong order"),
+        ("2-2", "1-1", "Ext^1(1-1,2-2) != 0: wrong order"),
+    ):
+        code, out, err = _invoke(capsys, ["hall", "comm", "--n", "2", "--v", v, "--u", u])
+        assert code == 1
+        assert out == ""
+        assert err == f"conekit: error: {message}\n"

@@ -154,3 +154,34 @@ def test_vrep_hrep_agree_on_membership(rays):
     hrep = RationalCone.from_inequalities(3, cone.inequalities)
     for r in rays:
         assert hrep.contains_point(r)
+
+
+def test_witness_builders_pinned():
+    """Both witness builders name a fixed generator and violation per case.
+
+    `orthant` strictly contains `narrow` and `diagonal`; `halfplane` has the
+    orthant's rays but a lineality line, so it leaves the orthant only
+    through the negated line.
+    """
+    from conekit.conelab import _missing_ray_witness
+    from conekit.quiverrep import _containment_witness
+
+    orthant = RationalCone.from_generators(2, [(1, 0), (0, 1)])
+    narrow = RationalCone.from_generators(2, [(1, 0), (1, 1)])
+    diagonal = RationalCone.from_generators(2, [(1, 1)])
+    halfplane = RationalCone.from_generators(2, [(1, 0)], [(0, 1)])
+
+    assert _missing_ray_witness(orthant, narrow, "k") == {
+        "kind": "k", "ray": [0, 1], "violated_form": [1, -1]}
+    assert _missing_ray_witness(orthant, diagonal, "k") == {
+        "kind": "k", "ray": [0, 1], "violated_equation": [1, -1]}
+    assert _missing_ray_witness(halfplane, orthant, "k") == {
+        "kind": "k", "ray": [0, -1], "violated_form": [0, 1]}
+
+    assert _containment_witness(orthant, narrow) == {"ray_of": "E", "ray": [0, 1]}
+    assert _containment_witness(narrow, orthant) == {"ray_of": "D_dual", "ray": [0, 1]}
+    assert _containment_witness(orthant, diagonal) == {"ray_of": "E", "ray": [0, 1]}
+    assert _containment_witness(diagonal, orthant) == {"ray_of": "D_dual", "ray": [0, 1]}
+    lineality_only = {"note": "cones differ only in lineality"}
+    assert _containment_witness(halfplane, orthant) == lineality_only
+    assert _containment_witness(orthant, halfplane) == lineality_only

@@ -1,6 +1,7 @@
 import pytest
 
-from conekit.rootsys import NotReduced, cartan_matrix
+from conekit import rootsys
+from conekit.rootsys import CapExceeded, NotReduced, cartan_matrix
 from conekit.quiverrep import (
     NotAdapted,
     RepContext,
@@ -62,6 +63,14 @@ def test_sink_sequences_need_not_be_reduced():
     assert word not in enumerate_adapted_words(q)
     with pytest.raises(NotReduced):
         RepContext(q, word)
+
+
+def test_adapted_words_share_the_word_cap(monkeypatch):
+    q = equioriented_a(3)
+    assert len(enumerate_adapted_words(q)) == 2
+    monkeypatch.setattr(rootsys, "MAX_WORDS", 1)
+    with pytest.raises(CapExceeded, match="more than 1 adapted words"):
+        enumerate_adapted_words(q)
 
 
 def test_adapted_word_counts():
