@@ -12,6 +12,7 @@ from .rootsys import (
     CartanMatrix,
     CapExceeded,
     NotReduced,
+    VerificationFailure,
     beta_sequence,
     cartan_from_entries,
     cartan_matrix,

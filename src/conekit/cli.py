@@ -13,45 +13,12 @@ import argparse
 import json
 import sys
 import time
+from fractions import Fraction
 
-from . import __version__
-from .conelab import check_conjecture, degree_cone, lusztig_cone, negative_tight_cone
-from .hallalg import (
-    CountInconsistent,
-    InterpolationInconsistent,
-    SplitTermSurvived,
-    hall_polynomial,
-    hall_product,
-    parse_module,
-    q_commutator,
-    verify_term_theorem,
-)
-from .quiverrep import (
-    ConsistencyFailure,
-    RepContext,
-    check_superfluous_conjecture,
-    ktheory_cones,
-    parse_quiver,
-)
-from .rootsys import (
-    CapExceeded,
-    beta_sequence,
-    enumerate_reduced_words,
-    parse_type,
-)
-from .tropflag import (
-    InvariantFailure,
-    MissingCoordinate,
-    initial_form,
-    phi,
-    phi_rank,
-    pluecker_relations,
-    trop_membership,
-)
-from . import certify
+from . import __version__, certify, conelab, hallalg, quiverrep, rootsys, tropflag
 
 # Exit 1: every rejected input is a ValueError, apart from these two.
-USAGE_ERRORS = (ValueError, CapExceeded, MissingCoordinate)
+USAGE_ERRORS = (ValueError, rootsys.CapExceeded, tropflag.MissingCoordinate)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,30 +30,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_word(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, flag: str, kind, what: str) -> tuple:
     try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ValueError(f"--word must be a comma list of letters, got {text!r}")
-
-
-def _parse_d(text: str):
-    from fractions import Fraction
-
-    try:
-        return [Fraction(x) for x in text.split(",")]
+        return tuple(kind(x) for x in text.split(","))
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"--d must be a comma list of rationals, got {text!r}")
+        raise ValueError(f"{flag} must be a comma list of {what}, got {text!r}")
+
+
+def _parse_word(text: str) -> tuple[int, ...]:
+    return _parse_list(text, "--word", int, "letters")
 
 
 def _parse_interval(text: str) -> tuple[int, int]:
-    module = parse_module(text)
+    module = hallalg.parse_module(text)
     if len(module) != 1:
         raise ValueError(f"expected a single interval a-b, got {text!r}")
     return module[0]
 
 
-def _emit(command: str, inputs: dict, result: dict, started: float, code: int = 0) -> int:
+def _emit(command: str, inputs: dict, result: dict, started: float, code: int) -> int:
     doc = {
         "command": command,
         "deterministic": True,
@@ -101,276 +63,239 @@ def _emit(command: str, inputs: dict, result: dict, started: float, code: int = 
     return code
 
 
+GROUPS = {
+    "roots": "root system data",
+    "cone": "polyhedral cones from words",
+    "quiver": "module-category combinatorics",
+    "hall": "finite-field structure constants",
+    "trop": "flag relations and min-plus checks",
+    "paper-check": "run the whole certification suite",
+}
+
+# (group, verb) -> (verb help, flags, handler), in --help order; the verb is
+# None for a group without verbs. A flag is (name, add_argument keywords), and
+# handler(args) returns (result, exit code). Handlers reach library functions
+# through their modules when called, so a patched module attribute sees every
+# call.
+COMMANDS: dict = {}
+
+REQUIRED = {"required": True}
+TYPE = ("--type", REQUIRED)
+WORD = ("--word", REQUIRED)
+QUIVER = ("--quiver", REQUIRED)
+N = ("--n", {"type": int, "required": True})
+
+
+def _command(group: str, verb: str | None, *flags, help: str | None = None):
+    def register(handler):
+        COMMANDS[group, verb] = (help, flags, handler)
+        return handler
+
+    return register
+
+
+@_command("roots", "betas", TYPE, WORD, help="the root enumeration of a word")
+def _roots_betas(args):
+    c = rootsys.parse_type(args.type)
+    betas = rootsys.beta_sequence(c, _parse_word(args.word))
+    return {"betas": [list(b) for b in betas]}, 0
+
+
+@_command("roots", "words", TYPE, help="all reduced words of the longest element")
+def _roots_words(args):
+    words = rootsys.enumerate_reduced_words(rootsys.parse_type(args.type))
+    return {"count": len(words), "words": [list(w) for w in words]}, 0
+
+
+def _cone(build, parse, text: str, word_text: str):
+    word = _parse_word(word_text)
+    cone = build(parse(text), word)
+    return {"cone": cone.to_dict(), "profile": cone.analyze().__dict__}, 0
+
+
+@_command("cone", "lusztig", TYPE, WORD)
+def _cone_lusztig(args):
+    return _cone(conelab.lusztig_cone, rootsys.parse_type, args.type, args.word)
+
+
+@_command("cone", "negative", TYPE, WORD)
+def _cone_negative(args):
+    return _cone(conelab.negative_tight_cone, rootsys.parse_type, args.type, args.word)
+
+
+@_command("cone", "degree", QUIVER, WORD)
+def _cone_degree(args):
+    return _cone(conelab.degree_cone, quiverrep.parse_quiver, args.quiver, args.word)
+
+
+@_command(
+    "cone", "check", QUIVER, WORD,
+    ("--type", {"help": "optional cross-check against the quiver's type"}),
+)
+def _cone_check(args):
+    word = _parse_word(args.word)
+    quiver = quiverrep.parse_quiver(args.quiver)
+    if args.type and rootsys.parse_type(args.type).entries != quiver.cartan.entries:
+        raise ValueError(f"--type {args.type} does not match --quiver {args.quiver}")
+    report = conelab.check_conjecture(quiver, word)
+    return report.to_dict(), 0 if report.verdict == "equal" else 2
+
+
+def _quiver_word(args):
+    return quiverrep.parse_quiver(args.quiver), _parse_word(args.word)
+
+
+@_command("quiver", "ar", QUIVER, WORD)
+def _quiver_ar(args):
+    return quiverrep.RepContext(*_quiver_word(args)).ar_data(), 0
+
+
+@_command(
+    "quiver", "middle", QUIVER, WORD,
+    ("--mode", {"choices": ("oracle", "filter"), "default": "oracle"}),
+)
+def _quiver_middle(args):
+    ctx = quiverrep.RepContext(*_quiver_word(args))
+    pairs = []
+    for k, l in ctx.ext_pairs():
+        terms = ctx.middle_terms(k, l, args.mode)
+        pairs.append({"pair": [k, l], "middle_terms": [list(m) for m in terms]})
+    return {"pairs": pairs}, 0
+
+
+@_command("quiver", "ktheory", QUIVER, WORD, ("--bound", {"type": int}))
+def _quiver_ktheory(args):
+    report = quiverrep.ktheory_cones(*_quiver_word(args), args.bound)
+    return report, 0 if report["duality_verdict"] == "equal" else 2
+
+
+@_command("quiver", "superfluous", QUIVER, WORD)
+def _quiver_superfluous(args):
+    return quiverrep.check_superfluous_conjecture(*_quiver_word(args)), 0
+
+
+@_command(
+    "hall", "poly", N,
+    ("--v", {**REQUIRED, "help": "quotient class, e.g. 2-3"}),
+    ("--w", {**REQUIRED, "help": "submodule class, e.g. 3-3"}),
+    ("--x", {**REQUIRED, "help": "extension class, e.g. 2-3,3-3"}),
+)
+def _hall_poly(args):
+    modules = [hallalg.parse_module(text) for text in (args.v, args.w, args.x)]
+    return {"polynomial": hallalg.hall_polynomial(args.n, *modules).to_dict()}, 0
+
+
+@_command("hall", "prod", N, ("--m1", REQUIRED), ("--m2", REQUIRED))
+def _hall_prod(args):
+    modules = [hallalg.parse_module(text) for text in (args.m1, args.m2)]
+    return {"element": hallalg.hall_product(args.n, *modules).to_dict()}, 0
+
+
+@_command(
+    "hall", "comm", N,
+    ("--v", {**REQUIRED, "help": "later interval a-b"}),
+    ("--u", {**REQUIRED, "help": "earlier interval a-b"}),
+)
+def _hall_comm(args):
+    intervals = [_parse_interval(text) for text in (args.v, args.u)]
+    return {"element": hallalg.q_commutator(args.n, *intervals).to_dict()}, 0
+
+
+@_command("hall", "verify-term", QUIVER, WORD, ("--k", {"type": int, "required": True}))
+def _hall_verify_term(args):
+    record = hallalg.verify_term_theorem(*_quiver_word(args), args.k)
+    return record, 0 if record["verified"] else 2
+
+
+@_command("trop", "relations", N)
+def _trop_relations(args):
+    rels = tropflag.pluecker_relations(args.n)
+    return {"count": len(rels), "relations": [r.to_dict() for r in rels]}, 0
+
+
+def _trop_weight(args):
+    rels = tropflag.pluecker_relations(args.n)
+    d = _parse_list(args.d, "--d", Fraction, "rationals")
+    return tropflag.phi(args.n, d), rels
+
+
+@_command("trop", "check", N, ("--d", REQUIRED))
+def _trop_check(args):
+    report = tropflag.trop_membership(*_trop_weight(args))
+    return report, 0 if report["passes"] else 2
+
+
+@_command("trop", "initial", N, ("--d", REQUIRED))
+def _trop_initial(args):
+    w, rels = _trop_weight(args)
+    forms = [tropflag.initial_form(w, r) for r in rels]
+    binomial = all(f["is_binomial"] for f in forms)
+    return {"initial_forms": forms, "all_binomial": binomial}, 0
+
+
+@_command("trop", "rank", N)
+def _trop_rank(args):
+    n = args.n
+    return {"rank": tropflag.phi_rank(n), "full_rank": n * (n - 1) // 2}, 0
+
+
+@_command("paper-check", None)
+def _paper_check(args):
+    report = certify.run_all()
+    for r in report["results"]:
+        status = "PASS" if r["passed"] else "FAIL"
+        limit = f" (limit {r['limit_seconds']}s)" if r["limit_seconds"] else ""
+        timing = f"{r['elapsed_seconds']:.3f}s{limit}"
+        print(f"{status} {r['criterion']:>2} {r['slug']:<28} {timing}", file=sys.stderr)
+    drop = ("elapsed_seconds", "within_limit")
+    results = [{k: v for k, v in r.items() if k not in drop} for r in report["results"]]
+    passed = report["passed"]
+    return {"passed": passed, "results": results}, 0 if passed else 2
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="conekit", description=__doc__)
     parser.add_argument("--format", choices=("json",), default="json")
     sub = parser.add_subparsers(dest="group", required=True)
-
-    roots = sub.add_parser("roots", parents=[], help="root system data")
-    roots_sub = roots.add_subparsers(dest="verb", required=True)
-    p = roots_sub.add_parser("betas", help="the root enumeration of a word")
-    p.add_argument("--type", required=True)
-    p.add_argument("--word", required=True)
-    p = roots_sub.add_parser("words", help="all reduced words of the longest element")
-    p.add_argument("--type", required=True)
-
-    cone = sub.add_parser("cone", help="polyhedral cones from words")
-    cone_sub = cone.add_subparsers(dest="verb", required=True)
-    for verb in ("lusztig", "negative"):
-        p = cone_sub.add_parser(verb)
-        p.add_argument("--type", required=True)
-        p.add_argument("--word", required=True)
-    for verb in ("degree", "check"):
-        p = cone_sub.add_parser(verb)
-        p.add_argument("--quiver", required=True)
-        p.add_argument("--word", required=True)
-    p.add_argument("--type", help="optional cross-check against the quiver's type")
-
-    quiver = sub.add_parser("quiver", help="module-category combinatorics")
-    quiver_sub = quiver.add_subparsers(dest="verb", required=True)
-    for verb in ("ar", "middle", "ktheory", "superfluous"):
-        p = quiver_sub.add_parser(verb)
-        p.add_argument("--quiver", required=True)
-        p.add_argument("--word", required=True)
-        if verb == "middle":
-            p.add_argument("--mode", choices=("oracle", "filter"), default="oracle")
-        if verb == "ktheory":
-            p.add_argument("--bound", type=int)
-
-    hall = sub.add_parser("hall", help="finite-field structure constants")
-    hall_sub = hall.add_subparsers(dest="verb", required=True)
-    p = hall_sub.add_parser("poly")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--v", required=True, help="quotient class, e.g. 2-3")
-    p.add_argument("--w", required=True, help="submodule class, e.g. 3-3")
-    p.add_argument("--x", required=True, help="extension class, e.g. 2-3,3-3")
-    p = hall_sub.add_parser("prod")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m1", required=True)
-    p.add_argument("--m2", required=True)
-    p = hall_sub.add_parser("comm")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--v", required=True, help="later interval a-b")
-    p.add_argument("--u", required=True, help="earlier interval a-b")
-    p = hall_sub.add_parser("verify-term")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    trop = sub.add_parser("trop", help="flag relations and min-plus checks")
-    trop_sub = trop.add_subparsers(dest="verb", required=True)
-    for verb in ("relations", "check", "initial", "rank"):
-        p = trop_sub.add_parser(verb)
-        p.add_argument("--n", type=int, required=True)
-        if verb in ("check", "initial"):
-            p.add_argument("--d", required=True)
-
-    sub.add_parser("paper-check", help="run the whole certification suite")
+    groups = {group: sub.add_parser(group, help=text) for group, text in GROUPS.items()}
+    verbs = {}
+    for (group, verb), (text, flags, _) in COMMANDS.items():
+        p = groups[group]
+        if verb is not None:
+            if group not in verbs:
+                verbs[group] = p.add_subparsers(dest="verb", required=True)
+            # argparse lists a verb in its group's --help once help= is given.
+            p = verbs[group].add_parser(verb, **({"help": text} if text else {}))
+        for name, keywords in flags:
+            p.add_argument(name, **keywords)
     return parser
 
 
-def _cmd_roots(args, started: float) -> int:
-    c = parse_type(args.type)
-    if args.verb == "betas":
-        word = _parse_word(args.word)
-        betas = beta_sequence(c, word)
-        return _emit(
-            "roots.betas",
-            {"type": args.type, "word": list(word)},
-            {"betas": [list(b) for b in betas]},
-            started,
-        )
-    words = enumerate_reduced_words(c)
-    return _emit(
-        "roots.words",
-        {"type": args.type},
-        {"count": len(words), "words": [list(w) for w in words]},
-        started,
-    )
-
-
-def _cmd_cone(args, started: float) -> int:
-    word = _parse_word(args.word)
-    if args.verb != "check":
-        if args.verb == "degree":
-            inputs = {"quiver": args.quiver, "word": list(word)}
-            cone = degree_cone(parse_quiver(args.quiver), word)
-        else:
-            inputs = {"type": args.type, "word": list(word)}
-            builder = lusztig_cone if args.verb == "lusztig" else negative_tight_cone
-            cone = builder(parse_type(args.type), word)
-        result = {"cone": cone.to_dict(), "profile": cone.analyze().__dict__}
-        return _emit(f"cone.{args.verb}", inputs, result, started)
-    quiver = parse_quiver(args.quiver)
-    if args.type and parse_type(args.type).entries != quiver.cartan.entries:
-        raise ValueError(f"--type {args.type} does not match --quiver {args.quiver}")
-    report = check_conjecture(quiver, word)
-    code = 0 if report.verdict == "equal" else 2
-    return _emit(
-        "cone.check",
-        {"quiver": args.quiver, "word": list(word), "type": args.type},
-        report.to_dict(),
-        started,
-        code,
-    )
-
-
-def _cmd_quiver(args, started: float) -> int:
-    quiver = parse_quiver(args.quiver)
-    word = _parse_word(args.word)
-    inputs = {"quiver": args.quiver, "word": list(word)}
-    if args.verb == "ar":
-        ctx = RepContext(quiver, word)
-        return _emit("quiver.ar", inputs, ctx.ar_data(), started)
-    if args.verb == "middle":
-        ctx = RepContext(quiver, word)
-        pairs = [
-            {
-                "pair": [k, l],
-                "middle_terms": [list(m) for m in ctx.middle_terms(k, l, args.mode)],
-            }
-            for k, l in ctx.ext_pairs()
-        ]
-        return _emit(
-            "quiver.middle", {**inputs, "mode": args.mode}, {"pairs": pairs}, started
-        )
-    if args.verb == "ktheory":
-        report = ktheory_cones(quiver, word, args.bound)
-        code = 0 if report["duality_verdict"] == "equal" else 2
-        return _emit(
-            "quiver.ktheory", {**inputs, "bound": args.bound}, report, started, code
-        )
-    report = check_superfluous_conjecture(quiver, word)
-    return _emit("quiver.superfluous", inputs, report, started)
-
-
-def _cmd_hall(args, started: float) -> int:
-    if args.verb == "poly":
-        poly = hall_polynomial(
-            args.n, parse_module(args.v), parse_module(args.w), parse_module(args.x)
-        )
-        return _emit(
-            "hall.poly",
-            {"n": args.n, "v": args.v, "w": args.w, "x": args.x},
-            {"polynomial": poly.to_dict()},
-            started,
-        )
-    if args.verb == "prod":
-        elem = hall_product(args.n, parse_module(args.m1), parse_module(args.m2))
-        return _emit(
-            "hall.prod",
-            {"n": args.n, "m1": args.m1, "m2": args.m2},
-            {"element": elem.to_dict()},
-            started,
-        )
-    if args.verb == "comm":
-        elem = q_commutator(args.n, _parse_interval(args.v), _parse_interval(args.u))
-        return _emit(
-            "hall.comm",
-            {"n": args.n, "v": args.v, "u": args.u},
-            {"element": elem.to_dict()},
-            started,
-        )
-    quiver = parse_quiver(args.quiver)
-    word = _parse_word(args.word)
-    record = verify_term_theorem(quiver, word, args.k)
-    code = 0 if record["verified"] else 2
-    return _emit(
-        "hall.verify-term",
-        {"quiver": args.quiver, "word": list(word), "k": args.k},
-        record,
-        started,
-        code,
-    )
-
-
-def _cmd_trop(args, started: float) -> int:
-    rels = pluecker_relations(args.n)
-    if args.verb == "relations":
-        return _emit(
-            "trop.relations",
-            {"n": args.n},
-            {"count": len(rels), "relations": [r.to_dict() for r in rels]},
-            started,
-        )
-    if args.verb == "rank":
-        return _emit(
-            "trop.rank",
-            {"n": args.n},
-            {"rank": phi_rank(args.n), "full_rank": args.n * (args.n - 1) // 2},
-            started,
-        )
-    d = _parse_d(args.d)
-    w = phi(args.n, d)
-    if args.verb == "check":
-        report = trop_membership(w, rels)
-        code = 0 if report["passes"] else 2
-        return _emit(
-            "trop.check", {"n": args.n, "d": args.d}, report, started, code
-        )
-    forms = [initial_form(w, r) for r in rels]
-    return _emit(
-        "trop.initial",
-        {"n": args.n, "d": args.d},
-        {"initial_forms": forms, "all_binomial": all(f["is_binomial"] for f in forms)},
-        started,
-    )
-
-
-def _cmd_paper_check(args, started: float) -> int:
-    report = certify.run_all()
-    stripped = {
-        "passed": report["passed"],
-        "results": [
-            {k: v for k, v in r.items() if k not in ("elapsed_seconds", "within_limit")}
-            for r in report["results"]
-        ],
-    }
-    for r in report["results"]:
-        status = "PASS" if r["passed"] else "FAIL"
-        limit = f" (limit {r['limit_seconds']}s)" if r["limit_seconds"] else ""
-        print(
-            f"{status} {r['criterion']:>2} {r['slug']:<28} "
-            f"{r['elapsed_seconds']:.3f}s{limit}",
-            file=sys.stderr,
-        )
-    code = 0 if report["passed"] else 2
-    return _emit("paper-check", {}, stripped, started, code)
-
-
-COMMANDS = {
-    "roots": _cmd_roots,
-    "cone": _cmd_cone,
-    "quiver": _cmd_quiver,
-    "hall": _cmd_hall,
-    "trop": _cmd_trop,
-    "paper-check": _cmd_paper_check,
-}
+def _inputs(args) -> dict:
+    """The input echo: every parsed flag but --format, --word as its letters."""
+    skip = ("format", "group", "verb")
+    inputs = {k: v for k, v in vars(args).items() if k not in skip}
+    if "word" in inputs:
+        inputs["word"] = list(_parse_word(args.word))
+    return inputs
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
+    verb = getattr(args, "verb", None)
+    command = args.group if verb is None else f"{args.group}.{verb}"
+    _, _, handler = COMMANDS[args.group, verb]
     try:
-        return COMMANDS[args.group](args, started)
-    except (
-        SplitTermSurvived,
-        InterpolationInconsistent,
-        CountInconsistent,
-        ConsistencyFailure,
-        InvariantFailure,
-    ) as exc:
-        return _emit(
-            f"{args.group}",
-            {},
-            {"error": type(exc).__name__, "witness": str(exc)},
-            started,
-            2,
-        )
+        result, code = handler(args)
+        inputs = _inputs(args)
+    except rootsys.VerificationFailure as exc:
+        error = {"error": type(exc).__name__, "witness": str(exc)}
+        return _emit(command, {}, error, started, 2)
     except USAGE_ERRORS as exc:
         print(f"conekit: error: {exc}", file=sys.stderr)
         return 1
+    return _emit(command, inputs, result, started, code)
 
 
 def main():

@@ -22,7 +22,7 @@ from itertools import product
 from types import MappingProxyType
 
 from .quiverrep import RepContext, bounded_multisets, equioriented_a, euler_form
-from .rootsys import k_shift
+from .rootsys import VerificationFailure, k_shift
 
 Interval = tuple[int, int]
 Module = tuple[Interval, ...]  # sorted multiset of intervals
@@ -38,15 +38,15 @@ class ScaleExceeded(ValueError):
     pass
 
 
-class InterpolationInconsistent(RuntimeError):
+class InterpolationInconsistent(VerificationFailure):
     pass
 
 
-class SplitTermSurvived(RuntimeError):
+class SplitTermSurvived(VerificationFailure):
     pass
 
 
-class CountInconsistent(RuntimeError):
+class CountInconsistent(VerificationFailure):
     """An exact invariant of a finite-field count failed."""
 
 
@@ -191,11 +191,13 @@ def parse_module(text: str) -> Module:
         piece = piece.strip()
         if not piece:
             continue
-        body, _, mult = piece.partition("^")
+        body, caret, mult = piece.partition("^")
         a, sep, b = body.partition("-")
         if not sep:
             raise ValueError(f"interval {piece!r} is not of the form a-b")
-        intervals.extend([(int(a), int(b))] * (int(mult) if mult else 1))
+        if caret and not (mult.isdecimal() and int(mult) > 0):
+            raise ValueError(f"multiplicity in {piece!r} is not a positive integer")
+        intervals.extend([(int(a), int(b))] * (int(mult) if caret else 1))
     return normalize_module(intervals)
 
 

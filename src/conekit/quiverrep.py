@@ -47,7 +47,7 @@ class NotSimplyLaced(ValueError):
     pass
 
 
-class ConsistencyFailure(RuntimeError):
+class ConsistencyFailure(rootsys.VerificationFailure):
     """The combinatorial mesh recipe contradicts the Euler form."""
 
 
@@ -182,7 +182,7 @@ def enumerate_adapted_words(quiver: DynkinQuiver) -> list[Word]:
     ``rootsys.MAX_WORDS`` words.
     """
     return longest_words(
-        quiver.cartan, rootsys.MAX_WORDS, "adapted words", quiver,
+        quiver.cartan, "adapted words", quiver,
         lambda q: sorted(q.sinks()), DynkinQuiver.reflected,
     )
 

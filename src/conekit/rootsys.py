@@ -38,6 +38,10 @@ class CapExceeded(RuntimeError):
     """Raised when an enumeration would exceed its result cap."""
 
 
+class VerificationFailure(RuntimeError):
+    """An exact invariant failed; the message is the witness (CLI exit 2)."""
+
+
 @dataclass(frozen=True)
 class CartanMatrix:
     """A finite-type Cartan matrix with its symmetrizers."""
@@ -275,25 +279,20 @@ def beta_sequence(c: CartanMatrix, word: Word) -> tuple[RootVector, ...]:
     return tuple(betas)
 
 
-def k_shift(word: Word, k: int, s: int = 1) -> int | None:
-    """Position of the s-th later occurrence of letter ``word[k-1]``, or None.
+def k_shift(word: Word, k: int) -> int | None:
+    """Position of the next later occurrence of letter ``word[k-1]``, or None.
 
-    >>> k_shift((1, 2, 1, 2), 1, 1)
+    >>> k_shift((1, 2, 1, 2), 1)
     3
-    >>> k_shift((1, 2, 1, 2), 3, 1) is None
+    >>> k_shift((1, 2, 1, 2), 3) is None
     True
     """
     if not 1 <= k <= len(word):
         raise ValueError(f"position {k} out of range")
-    if s < 1:
-        raise ValueError("shift must be >= 1")
     letter = word[k - 1]
-    seen = 0
     for t in range(k + 1, len(word) + 1):
         if word[t - 1] == letter:
-            seen += 1
-            if seen == s:
-                return t
+            return t
     return None
 
 
@@ -331,19 +330,19 @@ def highest_root(c: CartanMatrix) -> RootVector:
     return positive_roots(c)[-1]
 
 
-def longest_words(c: CartanMatrix, cap: int, what: str, state, letters, advance):
+def longest_words(c: CartanMatrix, what: str, state, letters, advance):
     """Longest-element words from one reflection walk over ``letters(state)``.
 
     A letter is kept while its root stays positive; ``advance`` gives the
-    next state. Raises CapExceeded past ``cap`` words.
+    next state. Raises CapExceeded past ``MAX_WORDS`` words.
     """
     total = num_positive_roots(c)
     out: list[Word] = []
 
     def walk(state, m, prefix: list[int]):
         if len(prefix) == total:
-            if len(out) >= cap:
-                raise CapExceeded(f"more than {cap} {what}")
+            if len(out) >= MAX_WORDS:
+                raise CapExceeded(f"more than {MAX_WORDS} {what}")
             out.append(tuple(prefix))
             return
         for letter in letters(state):
@@ -357,14 +356,14 @@ def longest_words(c: CartanMatrix, cap: int, what: str, state, letters, advance)
     return out
 
 
-def enumerate_reduced_words(c: CartanMatrix, cap: int = MAX_WORDS) -> list[Word]:
+def enumerate_reduced_words(c: CartanMatrix) -> list[Word]:
     """All reduced words of the longest element, in lexicographic order.
 
-    Raises CapExceeded as soon as the result would outgrow ``cap``.
+    Raises CapExceeded as soon as the result would outgrow ``MAX_WORDS``.
     """
     letters = range(1, c.rank + 1)
     return longest_words(
-        c, cap, "reduced words", None, lambda _: letters, lambda state, _: state
+        c, "reduced words", None, lambda _: letters, lambda state, _: state
     )
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import dot, rank
+from .rootsys import VerificationFailure
 
 Subset = tuple[int, ...]
 Term = tuple[int, Subset, Subset]  # sign, A, B with A, B sorted tuples
@@ -25,7 +26,7 @@ class MissingCoordinate(KeyError):
     pass
 
 
-class InvariantFailure(RuntimeError):
+class InvariantFailure(VerificationFailure):
     """An identity of the exchange relations or the weight map failed."""
 
 

@@ -8,7 +8,12 @@ import json
 
 import pytest
 
+from conekit import conelab
 from conekit.cli import run
+from conekit.hallalg import CountInconsistent, InterpolationInconsistent, SplitTermSurvived
+from conekit.quiverrep import ConsistencyFailure
+from conekit.rootsys import VerificationFailure
+from conekit.tropflag import InvariantFailure
 
 
 def _invoke(capsys, argv):
@@ -192,3 +197,26 @@ def test_hall_comm_rejects_undirected_pairs(capsys):
         assert code == 1
         assert out == ""
         assert err == f"conekit: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "exc", [ConsistencyFailure, InvariantFailure, CountInconsistent,
+            InterpolationInconsistent, SplitTermSurvived],
+)
+def test_verification_failures_exit_two(capsys, monkeypatch, exc):
+    assert issubclass(exc, VerificationFailure)
+
+    def fail(*args):
+        raise exc("planted witness")
+
+    # Handlers look the library function up when called, so the patch is seen.
+    monkeypatch.setattr(conelab, "check_conjecture", fail)
+    code, out, err = _invoke(
+        capsys, ["cone", "check", "--quiver", "1>2", "--word", "2,1,2"]
+    )
+    assert code == 2
+    data = json.loads(out)
+    assert data["command"] == "cone.check"
+    assert data["inputs"] == {}
+    assert data["result"] == {"error": exc.__name__, "witness": "planted witness"}
+    assert "verification failure" in err

@@ -90,6 +90,12 @@ def test_module_grammar_roundtrip():
     assert parse_module("") == ()
 
 
+@pytest.mark.parametrize("text", ["1-2^0", "1-2^-1", "1-2^", "1-2^x", "1-1,1-2^0"])
+def test_module_multiplicity_must_be_positive(text):
+    with pytest.raises(ValueError, match="is not a positive integer"):
+        parse_module(text)
+
+
 def test_hom_and_ext_dims_a2():
     assert hom_dim(P1, S1) == 1
     assert hom_dim(S1, P1) == 0

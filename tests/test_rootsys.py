@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conekit import rootsys
 from conekit.rootsys import (
     CapExceeded,
     NotReduced,
@@ -124,9 +125,10 @@ def test_reduced_word_counts(cartan, count):
     assert len(set(words)) == count
 
 
-def test_enumeration_cap():
-    with pytest.raises(CapExceeded):
-        enumerate_reduced_words(A3, cap=5)
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(rootsys, "MAX_WORDS", 5)
+    with pytest.raises(CapExceeded, match="more than 5 reduced words"):
+        enumerate_reduced_words(A3)
 
 
 def test_k_shift_next_occurrence():
