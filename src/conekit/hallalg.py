@@ -244,6 +244,15 @@ def _check_scale(n: int, m: Module):
         )
 
 
+def _check_ext_classes(ext: int, primes):
+    """Reject the first prime p with p^ext classes past MAX_EXT_CLASSES."""
+    for p in primes:
+        if p**ext > MAX_EXT_CLASSES:
+            raise ScaleExceeded(
+                f"{p}^{ext} extension classes exceed the supported {MAX_EXT_CLASSES}"
+            )
+
+
 # -- linear algebra over a prime field ---------------------------------------
 
 
@@ -367,10 +376,7 @@ def _extension_classes(n: int, v: Module, w: Module, p: int) -> MappingProxyType
     cocycle supported there; each one is classified by rank invariants.
     """
     ext = ext_dim(n, v, w)
-    if p**ext > MAX_EXT_CLASSES:
-        raise ScaleExceeded(
-            f"{p}^{ext} extension classes exceed the supported {MAX_EXT_CLASSES}"
-        )
+    _check_ext_classes(ext, (p,))
     dv, v_mats = _arrow_matrices(n, v, p)
     dw, w_mats = _arrow_matrices(n, w, p)
     offsets = [0]
@@ -465,6 +471,8 @@ def hall_polynomial(n: int, v: Module, w: Module, x: Module) -> LaurentPoly:
     if needed > len(PRIMES):
         raise ScaleExceeded("degree bound outruns the prime table")
     primes = PRIMES[:needed]
+    # every count enumerates p^ext classes, so refuse before the first one
+    _check_ext_classes(ext_dim(n, v, w), primes)
     counts = [count_submodules(n, x, w, v, p) for p in primes]
     poly = _lagrange(primes[:-1], counts[:-1])
     held_out = primes[-1]

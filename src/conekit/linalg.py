@@ -7,16 +7,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 IntVec = tuple[int, ...]
 
 
 def content(v) -> int:
     """gcd of the absolute values of the entries (0 for the zero vector)."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
+    return gcd(*v)
 
 
 def primitive(v) -> IntVec:
@@ -33,6 +31,8 @@ def primitive(v) -> IntVec:
 
 def integerize(v) -> IntVec:
     """Clear denominators of a rational vector and reduce to primitive form."""
+    if all(type(x) is int for x in v):
+        return primitive(tuple(v))
     fracs = [Fraction(x) for x in v]
     mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
     return primitive(tuple(int(f * mult) for f in fracs))
@@ -41,7 +41,7 @@ def integerize(v) -> IntVec:
 def dot(a, b):
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def rref(rows: list) -> tuple[list, list[int]]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import dot, integerize, primitive, rank, row_space_basis
 
@@ -41,14 +40,20 @@ def with_lines(rays, lines) -> list[IntVec]:
 
 
 def _reduce_mod_rows(v: IntVec, basis: list[IntVec]) -> IntVec:
-    """Canonical representative of v modulo the row space of an RREF basis."""
-    vec = [Fraction(x) for x in v]
+    """Canonical representative of v modulo the row space of an RREF basis.
+
+    Each basis row is an integerised RREF row: its pivot is positive and it
+    is zero at the other pivots. So clearing a pivot by ``row[p]*w -
+    w[p]*row`` scales the rational reduction by a positive factor, and the
+    primitive form of the result is the same.
+    """
+    w = tuple(v)
     for row in basis:
         pivot = next(i for i, x in enumerate(row) if x != 0)
-        if vec[pivot] != 0:
-            f = vec[pivot] / row[pivot]
-            vec = [x - f * y for x, y in zip(vec, row)]
-    return integerize(vec)
+        if w[pivot]:
+            a, b = row[pivot], w[pivot]
+            w = tuple(a * x - b * y for x, y in zip(w, row))
+    return primitive(w)
 
 
 def dd_vrep(dim: int, forms: list[IntVec]) -> tuple[list[IntVec], list[IntVec]]:

@@ -9,8 +9,13 @@ rebuilt combinatorially from the word and cross-validated against the Euler
 form; any disagreement raises ConsistencyFailure rather than guessing.
 
 `bounded_multisets` is the one capped module enumerator (middle-term
-fillings, K-theory modules, Hall modules of a dimension vector); cone
-witnesses come from `RationalCone.missing_generator`.
+fillings, K-theory modules, Hall modules of a dimension vector). It walks
+on packed integers, one guarded bit field per coordinate, so a node costs a
+few integer operations, and an exact walk drops a remainder as soon as a
+nonzero coordinate has no later column to lower it, or once it has come up
+empty from the same column on. The degeneration test
+`_hom_dominated` sums only over the nonzero entries of the difference of
+two modules. Cone witnesses come from `RationalCone.missing_generator`.
 """
 
 from __future__ import annotations
@@ -196,6 +201,16 @@ def bounded_multisets(target, columns, exact: bool = True) -> list[tuple[int, ..
 
     >>> bounded_multisets((2, 1), [(1, 0), (0, 1), (1, 1)])
     [(1, 0, 1), (2, 1, 0)]
+
+    The walk runs on packed integers: the remainder and each column are one
+    ``int`` with a bit field per coordinate, wide enough for the largest
+    entry of the target and of every usable column plus a top guard bit.
+    Subtracting a column from the remainder with every guard bit set borrows
+    only inside a field, so a cleared guard bit means that coordinate went
+    negative. A column that does not fit once is passed over without a
+    call. When exact, a remainder is dropped at once if it has a nonzero
+    field that no later column can lower, or if it already produced no
+    filling from the same column on. Results come in lexicographic order.
     """
     if any(x < 0 for x in target):
         return []
@@ -203,6 +218,23 @@ def bounded_multisets(target, columns, exact: bool = True) -> list[tuple[int, ..
         t for t, col in enumerate(columns)
         if all(x > 0 for c, x in zip(col, target) if c > 0)
     ]
+    top = max([*target, *(c for t in usable for c in columns[t])], default=0)
+    width = top.bit_length() + 1
+
+    def pack(v) -> int:
+        return sum(x << (width * i) for i, x in enumerate(v))
+
+    guard = pack([1 << (width - 1)] * len(target))
+    packed = [pack(columns[t]) for t in usable]
+    last = len(usable)
+    # lowerable[idx] has every bit of each field that a column from idx on
+    # can lower
+    lowerable = [0] * (last + 1)
+    for idx in range(last - 1, -1, -1):
+        ones = pack([(1 << width) - 1 if c else 0 for c in columns[usable[idx]]])
+        lowerable[idx] = lowerable[idx + 1] | ones
+    # dead[idx]: remainders with no exact filling by the columns from idx on
+    dead: list[set[int]] = [set() for _ in range(last)]
     out: list[tuple[int, ...]] = []
     chosen = [0] * len(columns)
 
@@ -211,23 +243,37 @@ def bounded_multisets(target, columns, exact: bool = True) -> list[tuple[int, ..
             raise CapExceeded(f"more than {MAX_MULTISETS} modules to enumerate")
         out.append(tuple(chosen))
 
-    def walk(idx: int, remaining):
-        if not any(remaining):
+    def walk(idx: int, remaining: int):
+        if not remaining:
             emit()  # every later column would need a coefficient of 0
             return
-        if idx == len(usable):
-            if not exact:
-                emit()
-            return
+        while True:
+            if idx == last:
+                if not exact:
+                    emit()
+                return
+            if exact and (remaining & ~lowerable[idx] or remaining in dead[idx]):
+                return
+            col = packed[idx]
+            if (remaining | guard) - col & guard == guard:
+                break
+            idx += 1  # the column does not fit once: its coefficient is 0
         t = usable[idx]
-        col = columns[t]
-        cap = min(r // c for r, c in zip(remaining, col) if c > 0)
-        for m in range(cap + 1):
+        found = len(out)
+        start = remaining
+        m = 0
+        while True:
             chosen[t] = m
-            walk(idx + 1, tuple(r - m * c for r, c in zip(remaining, col)))
+            walk(idx + 1, remaining)
+            if (remaining | guard) - col & guard != guard:
+                break
+            remaining -= col
+            m += 1
         chosen[t] = 0
+        if len(out) == found:
+            dead[idx].add(start)
 
-    walk(0, tuple(target))
+    walk(0, pack(target))
     return out
 
 
@@ -297,8 +343,8 @@ class RepContext:
     def dim_vector(self, m) -> tuple[int, ...]:
         out = [0] * self.n
         for mk, beta in zip(m, self.betas):
-            for i in range(self.n):
-                out[i] += mk * beta[i]
+            if mk:
+                out = [a + mk * b for a, b in zip(out, beta)]
         return tuple(out)
 
     # -- mesh structure ----------------------------------------------------
@@ -377,12 +423,21 @@ class RepContext:
     # -- degeneration ------------------------------------------------------
 
     def _hom_dominated(self, x, y, zs) -> bool:
-        """[U_z, x] <= [U_z, y] for every z in zs, strictly for at least one."""
-        diff = [b - a for a, b in zip(x, y)]
+        """[U_z, x] <= [U_z, y] for every z in zs, strictly for at least one.
+
+        zs must ascend. [U_z, M] only sees the summands at or after z, so each
+        gap sums the nonzero entries of y - x from a pointer that zs advance.
+        """
+        diff = [(t, b - a) for t, (a, b) in enumerate(zip(x, y), start=1) if a != b]
         strict = False
+        start = 0
         for z in zs:
-            # [U_z, M] only sees the summands at or after z
-            gap = sum(d * e for d, e in zip(diff[z - 1:], self._euler[z - 1][z - 1:]))
+            while start < len(diff) and diff[start][0] < z:
+                start += 1
+            if start == len(diff):
+                break  # every later gap is 0
+            row = self._euler[z - 1]
+            gap = sum(row[t - 1] * d for t, d in diff[start:])
             if gap < 0:
                 return False
             if gap > 0:
@@ -428,6 +483,7 @@ class RepContext:
                 for t in range(k + 1, l)
                 if self.preceq(k, t) and self.preceq(t, l)
             ]
+        u, v = self.unit(k), self.unit(l)
         out = []
         for filling in bounded_multisets(target, [self.betas[t - 1] for t in window]):
             key = [0] * self.N
@@ -435,7 +491,7 @@ class RepContext:
                 key[t - 1] = m
             key = tuple(key)
             if mode == "oracle":
-                if self.degenerates_properly(key, self.unit(k), self.unit(l)):
+                if self.degenerates_properly(key, u, v):
                     out.append(key)
             elif mode == "relaxed":
                 out.append(key)

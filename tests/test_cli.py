@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from conekit import conelab
+from conekit import conelab, hallalg
 from conekit.cli import run
 from conekit.hallalg import CountInconsistent, InterpolationInconsistent, SplitTermSurvived
 from conekit.quiverrep import ConsistencyFailure
@@ -197,6 +197,18 @@ def test_hall_comm_rejects_undirected_pairs(capsys):
         assert code == 1
         assert out == ""
         assert err == f"conekit: error: {message}\n"
+
+
+def test_hall_ext_class_cap_rejects_before_counting(capsys):
+    # Ext^1 has dimension 4, so 17 is the first listed prime past the cap;
+    # the guard must trip before the counts at p = 2..13 are made.
+    misses = hallalg.count_submodules.cache_info().misses
+    argv = ["hall", "prod", "--n", "2", "--m1", "1-1^2,2-2^2", "--m2", "1-1^2,2-2^2"]
+    code, out, err = _invoke(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == "conekit: error: 17^4 extension classes exceed the supported 50000\n"
+    assert hallalg.count_submodules.cache_info().misses == misses
 
 
 @pytest.mark.parametrize(
