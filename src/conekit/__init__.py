@@ -32,7 +32,6 @@ from .polycone import (
     RationalCone,
     ZeroCone,
     cone_from_inequalities,
-    extremality_certificate,
 )
 from .quiverrep import (
     ConsistencyFailure,

@@ -97,23 +97,3 @@ def nullspace_basis(forms: list) -> list[IntVec]:
         basis.append(integerize(vec))
     return basis
 
-
-def solve(basis: list, target) -> list[Fraction] | None:
-    """Coefficients expressing target in span(basis), or None if outside.
-
-    The basis vectors need not be independent; any valid coefficient list is
-    returned (deterministic for a fixed basis order).
-    """
-    if not basis:
-        return [] if all(x == 0 for x in target) else None
-    ncols = len(basis[0])
-    # Solve basis^T c = target by eliminating on [basis^T | target].
-    mat = [[Fraction(basis[j][i]) for j in range(len(basis))] + [Fraction(target[i])]
-           for i in range(ncols)]
-    reduced, pivots = rref(mat)
-    coeffs = [Fraction(0)] * len(basis)
-    for row, p in zip(reduced, pivots):
-        if p == len(basis):
-            return None  # inconsistent: pivot in the target column
-        coeffs[p] = row[-1]
-    return coeffs

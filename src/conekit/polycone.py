@@ -4,8 +4,8 @@ All cones are closed convex rational cones ``{x : f . x >= 0}``. Both
 representations are kept over the integers: inequality forms, extreme rays,
 and lineality bases are primitive integer vectors. There is no floating
 point and no LP solver anywhere in this module; conversions run the double
-description method with the combinatorial adjacency test, with lineality
-handled by pivoting.
+description method with the combinatorial adjacency test (prefiltered by
+a count of shared tight forms), with lineality handled by pivoting.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .linalg import dot, integerize, primitive, rank, row_space_basis
+from .linalg import dot, integerize, primitive, row_space_basis
 
 IntVec = tuple[int, ...]
 
@@ -103,11 +103,16 @@ def dd_vrep(dim: int, forms: list[IntVec]) -> tuple[list[IntVec], list[IntVec]]:
         zero = [i for i, v in enumerate(vals) if v == 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
         kept = [rays[i] for i in pos] + [(rays[i][0], rays[i][1] | bit) for i in zero]
+        # Adjacent rays share at least dim - l - 2 tight forms, the rank of
+        # those of their 2-face (Fukuda-Prodon, 1996).
+        tight = dim - len(lineality) - 2
         for p in pos:
             rp, zp = rays[p]
             for n in neg:
                 rn, zn = rays[n]
                 common = zp & zn
+                if common.bit_count() < tight:
+                    continue
                 adjacent = True
                 for o, (_, zo) in enumerate(rays):
                     if o != p and o != n and (zo & common) == common:
@@ -299,21 +304,6 @@ class RationalCone:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RationalCone":
-        cone = cls.from_inequalities(data["dim"], [tuple(f) for f in data["ineqs"]])
-        if "rays" in data and "lineality" in data:
-            stored = cls(
-                data["dim"],
-                _vrep=(
-                    [tuple(r) for r in data["rays"]],
-                    [tuple(l) for l in data["lineality"]],
-                ),
-            )
-            if not (cone.contains(stored) and stored.contains(cone)):
-                raise ValueError("stored V-representation disagrees with the inequalities")
-        return cone
-
     def __repr__(self) -> str:
         state = []
         if self._ineqs is not None:
@@ -327,23 +317,3 @@ def cone_from_inequalities(m: int, forms) -> RationalCone:
     """Cone {x : f . x >= 0 for all f} in dimension m."""
     return RationalCone.from_inequalities(m, forms)
 
-
-def extremality_certificate(cone: RationalCone) -> bool:
-    """Check every listed ray is extreme: its active facets cut a 1-dim face.
-
-    This is the Farkas-style consistency test used by the test suite; it
-    relies only on containment arithmetic, not on the DD bookkeeping.
-    """
-    rays, lin = cone.vrep()
-    facets, span_perp = cone.dualrep()
-    lin_dim = len(lin)
-    for r in rays:
-        active = [f for f in facets if dot(f, r) == 0]
-        face_cut = list(active) + list(span_perp)
-        if not face_cut:
-            if cone.dim - lin_dim != 1:
-                return False
-            continue
-        if rank(face_cut) != cone.dim - lin_dim - 1:
-            return False
-    return True

@@ -15,16 +15,20 @@ few integer operations, and an exact walk drops a remainder as soon as a
 nonzero coordinate has no later column to lower it, or once it has come up
 empty from the same column on. The degeneration test
 `_hom_dominated` sums only over the nonzero entries of the difference of
-two modules. Cone witnesses come from `RationalCone.missing_generator`.
+two modules. K-theory cones take one walk up to the bound plus one and
+compare Hom vectors packed (`pack`) into the same guarded fields.
+Cone witnesses come from `RationalCone.missing_generator`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
+from operator import sub
 
 from . import rootsys
-from .linalg import dot, integerize, nullspace_basis, primitive, rank, solve
+from .linalg import dot, nullspace_basis, primitive, rank
 from .polycone import DimensionMismatch, RationalCone
 from .rootsys import (
     CapExceeded,
@@ -192,6 +196,11 @@ def enumerate_adapted_words(quiver: DynkinQuiver) -> list[Word]:
     )
 
 
+def pack(v, width: int) -> int:
+    """The entries of v (each below 2**width) in one ``int``, width bits apiece."""
+    return sum(x << (width * i) for i, x in enumerate(v))
+
+
 def bounded_multisets(target, columns, exact: bool = True) -> list[tuple[int, ...]]:
     """Every n >= 0 with sum_t n_t col_t <= target, or == target when exact.
 
@@ -220,18 +229,14 @@ def bounded_multisets(target, columns, exact: bool = True) -> list[tuple[int, ..
     ]
     top = max([*target, *(c for t in usable for c in columns[t])], default=0)
     width = top.bit_length() + 1
-
-    def pack(v) -> int:
-        return sum(x << (width * i) for i, x in enumerate(v))
-
-    guard = pack([1 << (width - 1)] * len(target))
-    packed = [pack(columns[t]) for t in usable]
+    guard = pack([1 << (width - 1)] * len(target), width)
+    packed = [pack(columns[t], width) for t in usable]
     last = len(usable)
     # lowerable[idx] has every bit of each field that a column from idx on
     # can lower
     lowerable = [0] * (last + 1)
     for idx in range(last - 1, -1, -1):
-        ones = pack([(1 << width) - 1 if c else 0 for c in columns[usable[idx]]])
+        ones = pack([(1 << width) - 1 if c else 0 for c in columns[usable[idx]]], width)
         lowerable[idx] = lowerable[idx + 1] | ones
     # dead[idx]: remainders with no exact filling by the columns from idx on
     dead: list[set[int]] = [set() for _ in range(last)]
@@ -273,7 +278,7 @@ def bounded_multisets(target, columns, exact: bool = True) -> list[tuple[int, ..
         if len(out) == found:
             dead[idx].add(start)
 
-    walk(0, pack(target))
+    walk(0, pack(target, width))
     return out
 
 
@@ -556,21 +561,37 @@ class RepContext:
 
     # -- Grothendieck-group cones ------------------------------------------
 
-    def _extension_deltas(self, bound: int) -> set[Mult]:
+    def _degenerations(self, d, group: list[Mult]) -> list[tuple[Mult, Mult]]:
+        """Every (x, y) in group, of dimension vector d, with
+        ``hom_leq_strict(x, y)``, by packed Hom vectors ([U_z, m])_z: [U_z, m]
+        is at most <beta_z, d>, which sizes the guarded fields."""
+        width = max(dot(b, d) for b in self.betas).bit_length() + 1
+        guard = pack([1 << (width - 1)] * self.N, width)
+        ids = range(1, self.N + 1)
+        columns = [pack([self.hom_indec(z, t) for z in ids], width) for t in ids]
+        homs = [sum(k * columns[t] for t, k in enumerate(m) if k) for m in group]
+        return [
+            (x, y)
+            for x, hx in zip(group, homs)
+            for y, hy in zip(group, homs)
+            if hx != hy and (hy | guard) - hx & guard == guard
+        ]
+
+    def _extension_deltas(self, bound: int) -> dict[Mult, int]:
+        """Each primitive y - x of a proper degeneration x < y of modules of
+        height at most bound, with the least height where it occurs."""
         heights = [(sum(b),) for b in self.betas]
         by_dim: dict[tuple[int, ...], list[Mult]] = {}
         for m in bounded_multisets((bound,), heights, exact=False):
             by_dim.setdefault(self.dim_vector(m), []).append(m)
-        deltas: set[Mult] = set()
-        for group in by_dim.values():
+        deltas: dict[Mult, int] = {}
+        for dim, group in by_dim.items():
             if len(group) < 2:
                 continue
-            for x in group:
-                for y in group:
-                    if x != y and self.hom_leq_strict(x, y):
-                        deltas.add(
-                            primitive(tuple(b - a for a, b in zip(x, y)))
-                        )
+            height = sum(dim)
+            for x, y in self._degenerations(dim, group):
+                delta = primitive(tuple(map(sub, y, x)))
+                deltas[delta] = min(height, deltas.get(delta, height))
         return deltas
 
     def default_ktheory_bound(self) -> int:
@@ -583,31 +604,36 @@ class RepContext:
         the extension cone lives there, generated by differences of proper
         degenerations up to the dimension bound, and is compared against the
         dual of the cone spanned by the Hom functionals of the non-projective
-        indecomposables. A second run at bound+1 reports stabilization.
+        indecomposables. The cone at bound+1 reports stabilization; both come
+        from one walk to height bound+1, each difference tagged with the least
+        height of a dimension group it occurs in (`_degenerations` compares
+        packed Hom vectors). Kernel coordinates are read off free columns.
         """
         if bound is None:
             bound = self.default_ktheory_bound()
-        dim_rows = [
-            tuple(self.betas[k][i] for k in range(self.N)) for i in range(self.n)
-        ]
-        lam = nullspace_basis(dim_rows)
+        lam = nullspace_basis(list(zip(*self.betas)))  # kernel of m -> dim(m)
         if len(lam) != self.N - self.n:
             raise ConsistencyFailure(
                 f"dimension kernel has rank {len(lam)}, expected {self.N - self.n}"
             )
+        # Each basis vector ends at its own free column, where the others are
+        # 0; coordinates are scaled by `scale`, harmless for cone comparisons.
+        free = [max(i for i, x in enumerate(b) if x) for b in lam]
+        scale = lcm(*(b[c] for b, c in zip(lam, free)))
 
         def to_lambda(vec) -> tuple[int, ...]:
-            # Coordinates in the kernel basis; per-vector scaling is harmless
-            # for cone comparisons, so denominators are simply cleared.
-            coeffs = solve(lam, vec)
-            if coeffs is None:
+            coeffs = [vec[c] * scale // b[c] for b, c in zip(lam, free)]
+            rebuilt = [sum(x * b[i] for x, b in zip(coeffs, lam)) for i in range(self.N)]
+            if rebuilt != [scale * x for x in vec]:
                 raise ConsistencyFailure(f"{vec} is not in the dimension kernel")
-            return integerize(coeffs)
+            return primitive(tuple(coeffs))
 
-        e_gens = sorted({to_lambda(d) for d in self._extension_deltas(bound)})
+        deltas = self._extension_deltas(bound + 1)
+        coords = {delta: to_lambda(delta) for delta in deltas}
+        e_gens = sorted({coords[d] for d, height in deltas.items() if height <= bound})
         if not e_gens:
             raise ValueError(f"no extension generators below the bound {bound}")
-        e_next = sorted({to_lambda(d) for d in self._extension_deltas(bound + 1)})
+        e_next = sorted(set(coords.values()))
         d_gens = []
         for k in sorted(self.translation):  # the non-projectives
             functional = [self.hom_indec(k, l) for l in range(1, self.N + 1)]

@@ -4,16 +4,18 @@
 `itertools.product`; `integerize_by_fractions` and
 `reduce_mod_rows_by_fractions` are the `Fraction` routes that
 `linalg.integerize` and `polycone._reduce_mod_rows` replace for integer
-input. The tests compare each fast path against these.
+input; `brute_extreme_rays` lists the extreme rays of a pointed cone from
+every square subsystem of its forms, with no double description. The tests
+compare each fast path against these.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 
-from conekit.linalg import primitive
+from conekit.linalg import dot, nullspace_basis, primitive
 
 
 def brute_multisets(target, columns, exact: bool = True) -> list[tuple[int, ...]]:
@@ -50,3 +52,20 @@ def reduce_mod_rows_by_fractions(v, basis) -> tuple[int, ...]:
             f = vec[pivot] / row[pivot]
             vec = [x - f * y for x, y in zip(vec, row)]
     return integerize_by_fractions(vec)
+
+
+def brute_extreme_rays(dim: int, forms) -> list[tuple[int, ...]]:
+    """Extreme rays of the pointed cone {x : f . x >= 0 for every form f}.
+
+    A ray is extreme exactly when its tight forms have rank dim - 1, so each
+    one spans the kernel of some dim - 1 of the forms and satisfies them all.
+    """
+    rays = set()
+    for subset in combinations(forms, dim - 1):
+        kernel = nullspace_basis(list(subset))
+        if len(kernel) != 1:
+            continue
+        for ray in (kernel[0], tuple(-x for x in kernel[0])):
+            if all(dot(f, ray) >= 0 for f in forms):
+                rays.add(ray)
+    return sorted(rays)

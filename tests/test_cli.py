@@ -5,6 +5,7 @@ keep timing chatter on stderr, so stdout is byte-stable run to run.
 """
 
 import json
+import time
 
 import pytest
 
@@ -186,6 +187,16 @@ def test_ktheory_bound_out_of_range_exits_one(capsys):
         assert code == 1
         assert out == ""
         assert err == f"conekit: error: {message}\n"
+
+
+def test_roots_words_rejects_large_types_up_front(capsys):
+    for name in ("E6", "E7", "E8"):
+        start = time.perf_counter()
+        code, out, err = _invoke(capsys, ["roots", "words", "--type", name])
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert out == ""
+        assert err == "conekit: error: more than 100000 reduced words\n"
 
 
 def test_hall_comm_rejects_undirected_pairs(capsys):

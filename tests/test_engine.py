@@ -3,18 +3,21 @@
 The digests below were recorded before the packed filling walk, the sparse
 degeneration test and the integer-only cone arithmetic replaced the older
 tuple and `Fraction` routes; the same inputs must keep producing the same
-JSON. The slow routes stay in `engine_oracle.py` as references.
+JSON. The K-theory digest also predates the packed Hom comparison, the
+single walk for both bounds and the elimination-free kernel coordinates.
+The slow routes stay in `engine_oracle.py` as references, and
+`hom_leq_strict` is the reference for the packed Hom comparison.
 """
 
 import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conekit import conelab, quiverrep
-from conekit.linalg import integerize, row_space_basis
-from conekit.polycone import _reduce_mod_rows
+from conekit.linalg import integerize, rank, row_space_basis
+from conekit.polycone import _reduce_mod_rows, dd_vrep
 from conekit.quiverrep import (
     all_orientations,
     bounded_multisets,
@@ -30,6 +33,7 @@ from conekit.rootsys import (
     staircase_word,
 )
 from engine_oracle import (
+    brute_extreme_rays,
     brute_multisets,
     integerize_by_fractions,
     reduce_mod_rows_by_fractions,
@@ -132,6 +136,55 @@ def test_bounded_multisets_cap(monkeypatch):
         bounded_multisets((3,), [(1,)], exact=False)
     with pytest.raises(CapExceeded, match="more than 3 modules"):
         bounded_multisets((6, 6), [(1, 1), (2, 2)])
+
+
+# -- the packed Hom comparison against hom_leq_strict -------------------------
+
+
+def _ktheory_cases():
+    for quiver in all_orientations(cartan_matrix("A", 3)):
+        for word in enumerate_adapted_words(quiver):
+            yield quiver, word
+    yield equioriented_a(4), staircase_word(4)
+    d4 = all_orientations(cartan_matrix("D", 4))[0]
+    yield d4, first_adapted_word(d4)
+
+
+def test_packed_hom_comparison_matches_hom_leq_strict():
+    cases = 0
+    for quiver, word in _ktheory_cases():
+        ctx = quiverrep.RepContext(quiver, word)
+        heights = [(sum(b),) for b in ctx.betas]
+        bound = ctx.default_ktheory_bound()
+        by_dim = {}
+        for m in bounded_multisets((bound,), heights, exact=False):
+            by_dim.setdefault(ctx.dim_vector(m), []).append(m)
+        for dim, group in by_dim.items():
+            expected = [
+                (x, y) for x in group for y in group if ctx.hom_leq_strict(x, y)
+            ]
+            assert ctx._degenerations(dim, group) == expected
+        cases += 1
+    assert cases == 14
+
+
+# -- double description against every square subsystem -----------------------
+
+
+@st.composite
+def _pointed_cone(draw):
+    dim = draw(st.integers(2, 4))
+    form = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any)
+    forms = draw(st.lists(form, min_size=dim, max_size=8))
+    assume(rank(forms) == dim)  # no lineality
+    return dim, [tuple(f) for f in forms]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pointed_cone())
+def test_dd_vrep_matches_brute_force_extreme_rays(problem):
+    dim, forms = problem
+    assert dd_vrep(dim, forms) == (brute_extreme_rays(dim, forms), [])
 
 
 # -- integer fast paths against the Fraction routes ---------------------------

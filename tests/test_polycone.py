@@ -5,14 +5,35 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conekit.linalg import dot, rank
 from conekit.polycone import (
     DimensionMismatch,
     RationalCone,
     ZeroCone,
     cone_from_inequalities,
-    extremality_certificate,
     normalize_form,
 )
+
+
+def extremality_certificate(cone: RationalCone) -> bool:
+    """Check every listed ray is extreme: its active facets cut a 1-dim face.
+
+    A Farkas-style consistency test; it relies only on containment
+    arithmetic, not on the DD bookkeeping.
+    """
+    rays, lin = cone.vrep()
+    facets, span_perp = cone.dualrep()
+    lin_dim = len(lin)
+    for r in rays:
+        active = [f for f in facets if dot(f, r) == 0]
+        face_cut = list(active) + list(span_perp)
+        if not face_cut:
+            if cone.dim - lin_dim != 1:
+                return False
+            continue
+        if rank(face_cut) != cone.dim - lin_dim - 1:
+            return False
+    return True
 
 
 def test_orthant():
@@ -81,8 +102,10 @@ def test_rational_inequalities_are_integerized():
 def test_json_roundtrip():
     cone = cone_from_inequalities(3, [(1, -1, 1), (0, 1, 0)])
     data = json.loads(cone.to_json())
-    again = RationalCone.from_dict(data)
+    again = RationalCone.from_inequalities(data["dim"], data["ineqs"])
+    rays, lineality = ([tuple(v) for v in data[key]] for key in ("rays", "lineality"))
     assert again.same_cone(cone)
+    assert RationalCone(data["dim"], _vrep=(rays, lineality)).same_cone(cone)
     assert again.analyze() == cone.analyze()
 
 

@@ -131,6 +131,34 @@ def test_enumeration_cap(monkeypatch):
         enumerate_reduced_words(A3)
 
 
+def test_staircase_bound_is_exact_in_type_a(monkeypatch):
+    # In type A the chain is the whole diagram, so the bound is the count.
+    monkeypatch.setattr(rootsys, "MAX_WORDS", 16)
+    assert len(enumerate_reduced_words(A3)) == 16
+    monkeypatch.setattr(rootsys, "MAX_WORDS", 15)
+    monkeypatch.setattr(rootsys, "longest_words", None)  # never reached
+    with pytest.raises(CapExceeded, match="more than 15 reduced words"):
+        enumerate_reduced_words(A3)
+
+
+@pytest.mark.parametrize(
+    "name, up_front",
+    [("A4", False), ("D5", False), ("F4", False), ("A5", True), ("D6", True),
+     ("E6", True), ("E7", True), ("E8", True)],
+)
+def test_reduced_word_cap_before_the_walk(monkeypatch, name, up_front):
+    # A5 alone has 292,864 reduced words of w0, past the cap; a chain of
+    # four simple edges or fewer (768 for A4) leaves the verdict to the walk.
+    walks = []
+    monkeypatch.setattr(rootsys, "longest_words", lambda *args: walks.append(args) or [])
+    if up_front:
+        with pytest.raises(CapExceeded, match="more than 100000 reduced words"):
+            enumerate_reduced_words(parse_type(name))
+    else:
+        assert enumerate_reduced_words(parse_type(name)) == []
+    assert len(walks) == (0 if up_front else 1)
+
+
 def test_k_shift_next_occurrence():
     assert k_shift((1, 2, 1), 1) == 3
     assert k_shift((1, 2, 1), 2) is None
