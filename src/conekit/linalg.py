@@ -1,6 +1,8 @@
 """Exact linear algebra over the rationals, sized for desk-scale cones.
 
-Everything works on tuples of ``int`` or ``fractions.Fraction``; no floats.
+Inputs may be ``int`` or ``fractions.Fraction``; no floats. Row reduction
+(`rref`, and through it `rank`, `row_space_basis`, `nullspace_basis`) runs
+fraction-free on integers; only `integerize` meets a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -44,31 +46,35 @@ def dot(a, b):
     return sum(map(mul, a, b))
 
 
-def rref(rows: list) -> tuple[list, list[int]]:
-    """Reduced row echelon form over Q.
+def rref(rows: list) -> tuple[list[IntVec], list[int]]:
+    """Reduced row echelon form, fraction-free.
 
-    Returns (nonzero rows as Fraction tuples, pivot column indices).
+    Returns (each nonzero row of the RREF over Q as a primitive integer
+    vector with a positive pivot, pivot column indices). Rows may hold
+    ``int``s or rationals: each is first scaled to a primitive integer row,
+    which keeps the row space. Gauss-Jordan then clears column c from a row
+    as ``p * row - f * pivot_row`` and divides by the content.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
+    mat = [integerize(row) for row in rows]
     pivots: list[int] = []
-    r = 0
     ncols = len(mat[0]) if mat else 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        top = mat[r]
+        p = top[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                mat[i] = primitive([p * x - f * y for x, y in zip(row, top)])
         pivots.append(c)
-        r += 1
-        if r == len(mat):
+        if r + 1 == len(mat):
             break
-    return [tuple(row) for row in mat[:r]], pivots
+    reduced = [row if row[c] > 0 else tuple(-x for x in row) for row, c in zip(mat, pivots)]
+    return reduced, pivots
 
 
 def rank(rows: list) -> int:
@@ -76,9 +82,8 @@ def rank(rows: list) -> int:
 
 
 def row_space_basis(rows: list) -> list[IntVec]:
-    """Canonical primitive integer basis of the row space (RREF then cleared)."""
-    reduced, _ = rref(rows)
-    return [integerize(row) for row in reduced]
+    """Canonical primitive integer basis of the row space: the scaled RREF."""
+    return rref(rows)[0]
 
 
 def nullspace_basis(forms: list) -> list[IntVec]:
@@ -87,13 +92,14 @@ def nullspace_basis(forms: list) -> list[IntVec]:
         raise ValueError("ambient dimension unknown for an empty form list")
     ncols = len(forms[0])
     reduced, pivots = rref(forms)
-    free = [c for c in range(ncols) if c not in pivots]
+    scale = lcm(*(row[p] for row, p in zip(reduced, pivots)))
     basis = []
-    for c in free:
-        vec = [Fraction(0)] * ncols
-        vec[c] = Fraction(1)
+    for c in range(ncols):
+        if c in pivots:
+            continue
+        vec = [0] * ncols
+        vec[c] = scale
         for row, p in zip(reduced, pivots):
-            vec[p] = -row[c]
-        basis.append(integerize(vec))
+            vec[p] = -row[c] * (scale // row[p])
+        basis.append(primitive(vec))
     return basis
-

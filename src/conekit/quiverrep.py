@@ -8,16 +8,19 @@ Ext dimensions. The mesh structure (arrows, translation, path order) is
 rebuilt combinatorially from the word and cross-validated against the Euler
 form; any disagreement raises ConsistencyFailure rather than guessing.
 
-`bounded_multisets` is the one capped module enumerator (middle-term
-fillings, K-theory modules, Hall modules of a dimension vector). It walks
-on packed integers, one guarded bit field per coordinate, so a node costs a
-few integer operations, and an exact walk drops a remainder as soon as a
-nonzero coordinate has no later column to lower it, or once it has come up
-empty from the same column on. The degeneration test
-`_hom_dominated` sums only over the nonzero entries of the difference of
-two modules. K-theory cones take one walk up to the bound plus one and
-compare Hom vectors packed (`pack`) into the same guarded fields.
-Cone witnesses come from `RationalCone.missing_generator`.
+One capped walk, `_fillings`, enumerates modules: middle-term fillings, and
+through `bounded_multisets` K-theory and Hall modules of a dimension
+vector. It walks on packed integers, one guarded bit field per coordinate,
+some fields exact and the others upper bounds. An exact walk drops a
+remainder once a nonzero exact field has no later column to lower it, or
+once it has come up empty from the same column on. A `RepContext` packs
+each root once, its dimension vector and then its Hom column
+([U_z, U_t])_z, at one width sized from the highest root: oracle middle
+terms walk that table with the Hom fields as a budget, and each result is
+checked again by `degenerates_properly`, a packed sum at a width sized from
+its inputs. `hom_leq_strict`, the filter mode and the K-theory cones
+compare Hom dimensions by the same packed sums. Cone witnesses come from
+`RationalCone.missing_generator`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from operator import sub
+from operator import add, le, sub
 
 from . import rootsys
 from .linalg import dot, nullspace_basis, primitive, rank
@@ -204,44 +207,52 @@ def pack(v, width: int) -> int:
 def bounded_multisets(target, columns, exact: bool = True) -> list[tuple[int, ...]]:
     """Every n >= 0 with sum_t n_t col_t <= target, or == target when exact.
 
-    Columns are nonnegative with a positive entry; one positive where the
-    target is zero only admits n_t = 0 and is skipped. Raises CapExceeded
-    past MAX_MULTISETS results.
+    Columns are nonnegative and nonzero; one that does not fit the target
+    once gets n_t = 0. Raises CapExceeded past MAX_MULTISETS results.
 
     >>> bounded_multisets((2, 1), [(1, 0), (0, 1), (1, 1)])
     [(1, 0, 1), (2, 1, 0)]
 
-    The walk runs on packed integers: the remainder and each column are one
-    ``int`` with a bit field per coordinate, wide enough for the largest
-    entry of the target and of every usable column plus a top guard bit.
-    Subtracting a column from the remainder with every guard bit set borrows
-    only inside a field, so a cleared guard bit means that coordinate went
-    negative. A column that does not fit once is passed over without a
-    call. When exact, a remainder is dropped at once if it has a nonzero
-    field that no later column can lower, or if it already produced no
-    filling from the same column on. Results come in lexicographic order.
+    The walk (`_fillings`) runs on packed integers: the remainder and each
+    column are one ``int`` with a bit field per coordinate, as wide as the
+    largest target entry plus a top guard bit. Subtracting a column with
+    every guard bit set borrows only inside a field, so a cleared guard bit
+    means that coordinate went negative. A column that does not fit is
+    passed over without a call. When exact, a remainder is dropped once a
+    nonzero field has no later column to lower it, or once it came up empty
+    from the same column on. Results come in lexicographic order.
     """
     if any(x < 0 for x in target):
         return []
-    usable = [
-        t for t, col in enumerate(columns)
-        if all(x > 0 for c, x in zip(col, target) if c > 0)
-    ]
-    top = max([*target, *(c for t in usable for c in columns[t])], default=0)
-    width = top.bit_length() + 1
+    fits = [t for t, col in enumerate(columns) if all(map(le, col, target))]
+    width = max(target, default=0).bit_length() + 1
+    fields = pack([(1 << width) - 1] * len(target), width) if exact else 0
     guard = pack([1 << (width - 1)] * len(target), width)
-    packed = [pack(columns[t], width) for t in usable]
-    last = len(usable)
-    # lowerable[idx] has every bit of each field that a column from idx on
-    # can lower
-    lowerable = [0] * (last + 1)
-    for idx in range(last - 1, -1, -1):
-        ones = pack([(1 << width) - 1 if c else 0 for c in columns[usable[idx]]], width)
-        lowerable[idx] = lowerable[idx + 1] | ones
-    # dead[idx]: remainders with no exact filling by the columns from idx on
-    dead: list[set[int]] = [set() for _ in range(last)]
+    packed = [pack(columns[t], width) for t in fits]
+    return _fillings(pack(target, width), packed, fits, len(columns), width, guard, fields)
+
+
+def _fillings(target: int, columns: list[int], places, size: int, width: int,
+              guard: int, exact_fields: int) -> list[tuple[int, ...]]:
+    """The packed walk of `bounded_multisets`: column i's coefficient goes to
+    position places[i] of a size-long result. Fields in `exact_fields` must
+    reach 0, the others are budgets (`RepContext.middle_terms` puts its Hom
+    fields there), and every column must be nonzero in some exact field;
+    0 means an inexact walk. Each column must fit the target once."""
+    last = len(columns)
+    if exact_fields:
+        # stuck[idx] has every bit of each exact field that no column from
+        # idx on can lower
+        lsb, full = guard >> (width - 1), (1 << width) - 1
+        stuck = [exact_fields] * (last + 1)
+        for idx in range(last - 1, -1, -1):
+            nonzero = ((columns[idx] | guard) - lsb & guard) >> (width - 1)
+            stuck[idx] = stuck[idx + 1] & ~(nonzero * full)
+        # dead[idx]: remainders with no exact filling by the columns from idx on
+        dead: list[set[int]] = [set() for _ in range(last)]
+    filled = exact_fields or -1  # a remainder is done when these fields are 0
     out: list[tuple[int, ...]] = []
-    chosen = [0] * len(columns)
+    chosen = [0] * size
 
     def emit():
         if len(out) >= MAX_MULTISETS:
@@ -249,36 +260,36 @@ def bounded_multisets(target, columns, exact: bool = True) -> list[tuple[int, ..
         out.append(tuple(chosen))
 
     def walk(idx: int, remaining: int):
-        if not remaining:
+        if not remaining & filled:
             emit()  # every later column would need a coefficient of 0
             return
         while True:
             if idx == last:
-                if not exact:
+                if not exact_fields:
                     emit()
                 return
-            if exact and (remaining & ~lowerable[idx] or remaining in dead[idx]):
+            if exact_fields and (remaining & stuck[idx] or remaining in dead[idx]):
                 return
-            col = packed[idx]
+            col = columns[idx]
             if (remaining | guard) - col & guard == guard:
                 break
             idx += 1  # the column does not fit once: its coefficient is 0
-        t = usable[idx]
+        place = places[idx]
         found = len(out)
         start = remaining
         m = 0
         while True:
-            chosen[t] = m
+            chosen[place] = m
             walk(idx + 1, remaining)
             if (remaining | guard) - col & guard != guard:
                 break
             remaining -= col
             m += 1
-        chosen[t] = 0
-        if len(out) == found:
+        chosen[place] = 0
+        if exact_fields and len(out) == found:
             dead[idx].add(start)
 
-    walk(0, pack(target, width))
+    walk(0, target)
     return out
 
 
@@ -308,10 +319,13 @@ class RepContext:
         self.betas = beta_sequence(quiver.cartan, word)
         self.N = len(word)
         self.n = quiver.cartan.rank
-        # Euler form of every ordered pair; directedness makes it Hom on and
-        # above the diagonal and minus Ext1 below it.
+        # Euler form of every ordered pair, from one row <beta, e_v>_v per
+        # root; directedness makes it Hom on and above the diagonal and minus
+        # Ext1 below it.
+        units = [tuple(int(v == w) for w in range(self.n)) for v in range(self.n)]
         self._euler = tuple(
-            tuple(euler_form(quiver, b, c) for c in self.betas) for b in self.betas
+            tuple(dot(row, c) for c in self.betas)
+            for row in ([euler_form(quiver, b, e) for e in units] for b in self.betas)
         )
         self.translation = {l: k for k, l in tight_pairs(word)}
         self.projectives = tuple(
@@ -322,6 +336,20 @@ class RepContext:
         self.arrows = self._mesh_arrows()
         self._reach = self._reachability()
         self._validate()
+        # Root t as fields: beta_t, then its Hom column ([U_z, U_t])_z. A
+        # field of a module M is at most theta . dim M (beta <= theta), so
+        # 2 theta . theta sizes every field of an extension of two roots.
+        theta = highest_root(quiver.cartan)
+        self._caps = tuple(dot(theta, b) for b in self.betas)
+        ids = range(1, self.N + 1)
+        self._fields = [b + tuple(self.hom_indec(z, t) for z in ids)
+                        for t, b in zip(ids, self.betas)]
+        self._packings: dict[int, tuple[int, list[int]]] = {}
+        self._width = (2 * dot(theta, theta)).bit_length() + 1
+        # the walk's table, and its dimension fields alone for filter/relaxed
+        guard, table = self._packing(self._width)
+        self._dims = dims = (1 << self._width * self.n) - 1
+        self._dims_only = guard & dims, [c & dims for c in table]
 
     # -- constituents ------------------------------------------------------
 
@@ -427,49 +455,54 @@ class RepContext:
 
     # -- degeneration ------------------------------------------------------
 
-    def _hom_dominated(self, x, y, zs) -> bool:
-        """[U_z, x] <= [U_z, y] for every z in zs, strictly for at least one.
+    def _packing(self, width: int) -> tuple[int, list[int]]:
+        """The guard bits and every root's fields packed at `width`, cached."""
+        if width not in self._packings:
+            guard = pack([1 << (width - 1)] * (self.n + self.N), width)
+            self._packings[width] = guard, [pack(f, width) for f in self._fields]
+        return self._packings[width]
 
-        zs must ascend. [U_z, M] only sees the summands at or after z, so each
-        gap sums the nonzero entries of y - x from a pointer that zs advance.
-        """
-        diff = [(t, b - a) for t, (a, b) in enumerate(zip(x, y), start=1) if a != b]
-        strict = False
-        start = 0
-        for z in zs:
-            while start < len(diff) and diff[start][0] < z:
-                start += 1
-            if start == len(diff):
-                break  # every later gap is 0
-            row = self._euler[z - 1]
-            gap = sum(row[t - 1] * d for t, d in diff[start:])
-            if gap < 0:
-                return False
-            if gap > 0:
-                strict = True
-        return strict
+    def _packed(self, *modules) -> tuple[int, int, list[int]]:
+        """Width, guard and each module's packed fields, at a width sized from
+        the modules (theta . dim M bounds every field of M)."""
+        width = max(dot(m, self._caps) for m in modules).bit_length() + 1
+        guard, table = self._packing(width)
+        sums = [sum(k * table[t] for t, k in enumerate(m) if k) for m in modules]
+        return width, guard, sums
+
+    def _hom_leq(self, x, y, zs) -> bool:
+        """[U_z, x] <= [U_z, y] for every z in zs, strictly for at least one."""
+        width, guard, (hx, hy) = self._packed(x, y)
+        mask = pack([0] * self.n + [int(z in zs) for z in range(1, self.N + 1)], width)
+        mask *= (1 << width) - 1
+        hx, hy, guard = hx & mask, hy & mask, guard & mask
+        return hx != hy and (hy | guard) - hx & guard == guard
 
     def hom_leq_strict(self, x, y) -> bool:
         """x properly degenerates to y: [Z,x] <= [Z,y] for all indec Z, once strict."""
-        return self._hom_dominated(x, y, range(1, self.N + 1))
+        return self._hom_leq(x, y, range(1, self.N + 1))
 
     def degenerates_properly(self, x, u, v) -> bool:
-        if self.dim_vector(x) != tuple(
-            a + b for a, b in zip(self.dim_vector(u), self.dim_vector(v))
-        ):
+        """x and u + v have one dimension vector, and hom_leq_strict(x, u + v):
+        one packed sum each, whose dimension fields must agree."""
+        width, guard, (hx, goal) = self._packed(x, tuple(map(add, u, v)))
+        if (hx ^ goal) & (1 << width * self.n) - 1:
             raise DimensionMismatch("dimension vectors do not add up")
-        return self.hom_leq_strict(x, tuple(a + b for a, b in zip(u, v)))
+        return hx != goal and (goal | guard) - hx & guard == guard
 
     # -- middle terms ------------------------------------------------------
 
     def middle_terms(self, k: int, l: int, mode: str = "oracle") -> list[Mult]:
         """Summand multiplicities of the non-split extensions of U_l by U_k.
 
-        mode 'oracle' enumerates on the open position window and keeps the
-        candidates passing the degeneration test; 'filter' replaces that test
-        by the combinatorial conditions (path-order window plus the Hom
-        comparison against U_l on the translate window); 'relaxed' keeps the
-        path-order window only.
+        mode 'oracle' walks the open position window against the packed
+        fields of U_k + U_l: dimension fields exact, Hom fields a budget
+        ([U_z, X] <= [U_z, U_k + U_l], the degeneration order of a directed
+        algebra), strict since X is not U_k + U_l. Every result must pass
+        `degenerates_properly`, or ConsistencyFailure. 'filter' replaces the
+        budget by the combinatorial conditions (path-order window plus the
+        Hom comparison against U_l on the translate window); 'relaxed' keeps
+        the path-order window only.
         """
         if not (1 <= k < l <= self.N):
             raise ValueError(f"need 1 <= k < l <= {self.N}, got ({k},{l})")
@@ -477,33 +510,28 @@ class RepContext:
             raise ValueError(f"unknown mode {mode!r}")
         if self.ext_indec(l, k) == 0:
             return []
-        target = tuple(
-            a + b for a, b in zip(self.betas[k - 1], self.betas[l - 1])
-        )
+        width = self._width
+        window = range(k, l - 1)
         if mode == "oracle":
-            window = list(range(k + 1, l))
-        else:
+            guard, table = self._packing(width)
+        else:  # the path-order window, dimension fields only
             window = [
-                t
-                for t in range(k + 1, l)
-                if self.preceq(k, t) and self.preceq(t, l)
+                t for t in window if self.preceq(k, t + 1) and self.preceq(t + 1, l)
             ]
-        u, v = self.unit(k), self.unit(l)
-        out = []
-        for filling in bounded_multisets(target, [self.betas[t - 1] for t in window]):
-            key = [0] * self.N
-            for t, m in zip(window, filling):
-                key[t - 1] = m
-            key = tuple(key)
-            if mode == "oracle":
-                if self.degenerates_properly(key, u, v):
-                    out.append(key)
-            elif mode == "relaxed":
-                out.append(key)
-            else:
-                if self._hom_window_condition(key, k, l):
-                    out.append(key)
-        return sorted(set(out))
+            guard, table = self._dims_only
+        goal = table[k - 1] + table[l - 1]
+        window = [t for t in window if (goal | guard) - table[t] & guard == guard]
+        columns = [table[t] for t in window]
+        out = _fillings(goal, columns, window, self.N, width, guard, self._dims)
+        if mode == "filter":
+            return [x for x in out if self._hom_window_condition(x, k, l)]
+        if mode == "oracle":
+            u, v = self.unit(k), self.unit(l)
+            for x in out:
+                if not self.degenerates_properly(x, u, v):
+                    raise ConsistencyFailure(
+                        f"middle term {x} of ({k},{l}) fails the degeneration test")
+        return out
 
     def _hom_window_condition(self, x, k: int, l: int) -> bool:
         # Hom comparison against U_l over {Z : tau^{-1}U_k <= Z <= U_l}. The
@@ -515,12 +543,12 @@ class RepContext:
             raise ConsistencyFailure(
                 f"Ext1(U_{l},U_{k}) != 0 but U_{k} has no later occurrence"
             )
-        zs = [
+        zs = {
             z
             for z in range(1, self.N + 1)
             if self.preceq(k1, z) and self.preceq(z, l)
-        ]
-        return self._hom_dominated(x, self.unit(l), zs)
+        }
+        return self._hom_leq(x, self.unit(l), zs)
 
     def superfluous_check(self) -> dict:
         """Compare the relaxed window filter against the degeneration oracle.
@@ -561,15 +589,10 @@ class RepContext:
 
     # -- Grothendieck-group cones ------------------------------------------
 
-    def _degenerations(self, d, group: list[Mult]) -> list[tuple[Mult, Mult]]:
-        """Every (x, y) in group, of dimension vector d, with
-        ``hom_leq_strict(x, y)``, by packed Hom vectors ([U_z, m])_z: [U_z, m]
-        is at most <beta_z, d>, which sizes the guarded fields."""
-        width = max(dot(b, d) for b in self.betas).bit_length() + 1
-        guard = pack([1 << (width - 1)] * self.N, width)
-        ids = range(1, self.N + 1)
-        columns = [pack([self.hom_indec(z, t) for z in ids], width) for t in ids]
-        homs = [sum(k * columns[t] for t, k in enumerate(m) if k) for m in group]
+    def _degenerations(self, group: list[Mult]) -> list[tuple[Mult, Mult]]:
+        """Every (x, y) in group, all of one dimension vector, with
+        ``hom_leq_strict(x, y)``, by the packed fields of `_packed`."""
+        _, guard, homs = self._packed(*group)
         return [
             (x, y)
             for x, hx in zip(group, homs)
@@ -589,7 +612,7 @@ class RepContext:
             if len(group) < 2:
                 continue
             height = sum(dim)
-            for x, y in self._degenerations(dim, group):
+            for x, y in self._degenerations(group):
                 delta = primitive(tuple(map(sub, y, x)))
                 deltas[delta] = min(height, deltas.get(delta, height))
         return deltas
@@ -607,7 +630,7 @@ class RepContext:
         indecomposables. The cone at bound+1 reports stabilization; both come
         from one walk to height bound+1, each difference tagged with the least
         height of a dimension group it occurs in (`_degenerations` compares
-        packed Hom vectors). Kernel coordinates are read off free columns.
+        packed Hom fields). Kernel coordinates are read off free columns.
         """
         if bound is None:
             bound = self.default_ktheory_bound()

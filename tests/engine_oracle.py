@@ -1,12 +1,18 @@
 """Slow reference routes for the middle-term engine's fast paths.
 
 `brute_multisets` enumerates every coefficient vector in a box with
-`itertools.product`; `integerize_by_fractions` and
-`reduce_mod_rows_by_fractions` are the `Fraction` routes that
-`linalg.integerize` and `polycone._reduce_mod_rows` replace for integer
-input; `brute_extreme_rays` lists the extreme rays of a pointed cone from
-every square subsystem of its forms, with no double description. The tests
-compare each fast path against these.
+`itertools.product`; `hom_dominated_sparse` and
+`degenerates_properly_sparse` compare Hom dimensions one z at a time over
+the nonzero entries of y - x, and `middle_terms_by_filter` keeps the
+candidates of a dimension-only walk that pass them, where
+`RepContext.middle_terms` walks with a Hom budget;
+`integerize_by_fractions`, `reduce_mod_rows_by_fractions` and
+`rref_by_fractions` (with `row_space_by_fractions` and
+`nullspace_by_fractions`) are the `Fraction` routes that
+`linalg.integerize`, `polycone._reduce_mod_rows` and the fraction-free
+`linalg.rref` replace; `brute_extreme_rays` lists the extreme rays of a
+pointed cone from every square subsystem of its forms, with no double
+description. The tests compare each fast path against these.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from itertools import combinations, product
 from math import lcm
 
 from conekit.linalg import dot, nullspace_basis, primitive
+from conekit.polycone import DimensionMismatch
+from conekit.quiverrep import bounded_multisets
 
 
 def brute_multisets(target, columns, exact: bool = True) -> list[tuple[int, ...]]:
@@ -34,6 +42,101 @@ def brute_multisets(target, columns, exact: bool = True) -> list[tuple[int, ...]
         elif not exact and all(s <= t for s, t in zip(total, target)):
             out.append(coeffs)
     return sorted(out)
+
+
+def hom_dominated_sparse(ctx, x, y, zs) -> bool:
+    """[U_z, x] <= [U_z, y] for every z in zs, strictly for at least one.
+
+    zs must ascend. [U_z, M] only sees the summands at or after z, so each
+    gap sums the nonzero entries of y - x from a pointer that zs advance.
+    """
+    diff = [(t, b - a) for t, (a, b) in enumerate(zip(x, y), start=1) if a != b]
+    strict = False
+    start = 0
+    for z in zs:
+        while start < len(diff) and diff[start][0] < z:
+            start += 1
+        if start == len(diff):
+            break  # every later gap is 0
+        gap = sum(ctx.hom_indec(z, t) * d for t, d in diff[start:])
+        if gap < 0:
+            return False
+        if gap > 0:
+            strict = True
+    return strict
+
+
+def degenerates_properly_sparse(ctx, x, u, v) -> bool:
+    """Same dimension vector as u + v and sparse Hom domination over all z."""
+    y = tuple(a + b for a, b in zip(u, v))
+    if ctx.dim_vector(x) != ctx.dim_vector(y):
+        raise DimensionMismatch("dimension vectors do not add up")
+    return hom_dominated_sparse(ctx, x, y, range(1, ctx.N + 1))
+
+
+def middle_terms_by_filter(ctx, k: int, l: int) -> list[tuple[int, ...]]:
+    """Oracle middle terms the old way: a dimension-only walk over the open
+    window (k, l), then the sparse degeneration test on every candidate."""
+    if ctx.ext_indec(l, k) == 0:
+        return []
+    target = tuple(a + b for a, b in zip(ctx.betas[k - 1], ctx.betas[l - 1]))
+    window = range(k + 1, l)
+    u, v = ctx.unit(k), ctx.unit(l)
+    out = []
+    for filling in bounded_multisets(target, [ctx.betas[t - 1] for t in window]):
+        x = [0] * ctx.N
+        for t, m in zip(window, filling):
+            x[t - 1] = m
+        if degenerates_properly_sparse(ctx, tuple(x), u, v):
+            out.append(tuple(x))
+    return sorted(out)
+
+
+def rref_by_fractions(rows: list) -> tuple[list, list[int]]:
+    """Reduced row echelon form over Q: (nonzero Fraction rows, pivots)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    ncols = len(mat[0]) if mat else 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = mat[r][c]
+        mat[r] = [x / inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+def rank_by_fractions(rows: list) -> int:
+    return len(rref_by_fractions(rows)[0])
+
+
+def row_space_by_fractions(rows: list) -> list[tuple[int, ...]]:
+    return [integerize_by_fractions(row) for row in rref_by_fractions(rows)[0]]
+
+
+def nullspace_by_fractions(forms: list) -> list[tuple[int, ...]]:
+    ncols = len(forms[0])
+    reduced, pivots = rref_by_fractions(forms)
+    basis = []
+    for c in range(ncols):
+        if c in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[c] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[c]
+        basis.append(integerize_by_fractions(vec))
+    return basis
 
 
 def integerize_by_fractions(v) -> tuple[int, ...]:

@@ -5,20 +5,26 @@ degeneration test and the integer-only cone arithmetic replaced the older
 tuple and `Fraction` routes; the same inputs must keep producing the same
 JSON. The K-theory digest also predates the packed Hom comparison, the
 single walk for both bounds and the elimination-free kernel coordinates.
-The slow routes stay in `engine_oracle.py` as references, and
-`hom_leq_strict` is the reference for the packed Hom comparison.
+The E7 digest predates the Hom budget inside the filling walk, the packed
+degeneration test and the fraction-free row reduction. The slow routes stay
+in `engine_oracle.py` as references.
 """
 
 import hashlib
 import json
+from fractions import Fraction
+from operator import le
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conekit import conelab, quiverrep
-from conekit.linalg import integerize, rank, row_space_basis
-from conekit.polycone import _reduce_mod_rows, dd_vrep
+from conekit.cli import run
+from conekit.linalg import integerize, nullspace_basis, rank, row_space_basis
+from conekit.polycone import DimensionMismatch, _reduce_mod_rows, dd_vrep
 from conekit.quiverrep import (
+    ConsistencyFailure,
+    RepContext,
     all_orientations,
     bounded_multisets,
     enumerate_adapted_words,
@@ -35,8 +41,14 @@ from conekit.rootsys import (
 from engine_oracle import (
     brute_extreme_rays,
     brute_multisets,
+    degenerates_properly_sparse,
+    hom_dominated_sparse,
     integerize_by_fractions,
+    middle_terms_by_filter,
+    nullspace_by_fractions,
+    rank_by_fractions,
     reduce_mod_rows_by_fractions,
+    row_space_by_fractions,
 )
 
 
@@ -70,6 +82,7 @@ PINNED_REPORTS = {
     ("A", 6): "395db9cae5ff36b5fe96d9634b3c525ff998fb73bfb11ef329d13308a12ad7eb",
     ("D", 5): "b3f992408b46bdaf30aad90fdd388de589e3c26595f197e4604e8d1caf3a3b44",
     ("E", 6): "6cc406ec76bcf17b8fae6c6e6457a2799adb521cf278eacacf167ae68533233d",
+    ("E", 7): "92bc15e27b23018fed850e066fc405292ef7843840c710eda9e5aadb0110a948",
 }
 
 
@@ -115,6 +128,50 @@ def test_bounded_multisets_matches_brute_force(problem, exact):
     )
 
 
+@st.composite
+def _budget_problem(draw):
+    # Exact coordinates first, then 1 or 2 budgets; every column has a
+    # positive exact entry, as `_fillings` requires of an exact walk.
+    exact_part = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    budgets = draw(st.lists(st.integers(0, 4), min_size=1, max_size=2))
+    head = st.lists(
+        st.integers(0, 4), min_size=len(exact_part), max_size=len(exact_part)
+    ).filter(any)
+    tail = st.lists(st.integers(0, 5), min_size=len(budgets), max_size=len(budgets))
+    columns = draw(st.lists(st.tuples(head, tail), min_size=0, max_size=4))
+    return tuple(exact_part), tuple(budgets), [tuple(h + t) for h, t in columns]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_budget_problem(), st.booleans())
+def test_filling_walk_with_budgets_matches_brute_force(problem, exact):
+    # the walk of oracle middle terms: exact fields, then budget fields
+    exact_part, budgets, columns = problem
+    target = exact_part + budgets
+    fits = [t for t, col in enumerate(columns) if all(map(le, col, target))]
+    width = max(target).bit_length() + 1
+    full = [(1 << width) - 1] * len(exact_part)
+    got = quiverrep._fillings(
+        quiverrep.pack(target, width),
+        [quiverrep.pack(columns[t], width) for t in fits],
+        fits,
+        len(columns),
+        width,
+        quiverrep.pack([1 << (width - 1)] * len(target), width),
+        quiverrep.pack(full, width) if exact else 0,
+    )
+    want = brute_multisets(target, columns, exact=False)
+    if exact:
+        want = [
+            n for n in want
+            if all(
+                sum(m * col[i] for m, col in zip(n, columns)) == x
+                for i, x in enumerate(exact_part)
+            )
+        ]
+    assert got == want
+
+
 def test_bounded_multisets_edge_cases():
     # a zero target admits only the empty filling
     assert bounded_multisets((0, 0), [(1, 0), (2, 3)]) == [(0, 0)]
@@ -138,7 +195,7 @@ def test_bounded_multisets_cap(monkeypatch):
         bounded_multisets((6, 6), [(1, 1), (2, 2)])
 
 
-# -- the packed Hom comparison against hom_leq_strict -------------------------
+# -- K-theory's packed Hom comparison against hom_leq_strict and the sparse sum
 
 
 def _ktheory_cases():
@@ -163,9 +220,134 @@ def test_packed_hom_comparison_matches_hom_leq_strict():
             expected = [
                 (x, y) for x in group for y in group if ctx.hom_leq_strict(x, y)
             ]
-            assert ctx._degenerations(dim, group) == expected
+            assert ctx._degenerations(group) == expected
+            assert expected == [
+                (x, y) for x in group for y in group
+                if hom_dominated_sparse(ctx, x, y, range(1, ctx.N + 1))
+            ]
         cases += 1
     assert cases == 14
+
+
+# -- packed degeneration test against the sparse reference --------------------
+
+D4_FIRST = all_orientations(cartan_matrix("D", 4))[0]
+DEGENERATION_CONTEXTS = [
+    RepContext(equioriented_a(3), staircase_word(3)),
+    RepContext(D4_FIRST, first_adapted_word(D4_FIRST)),
+]
+
+
+@st.composite
+def _module_triple(draw):
+    # u and v have one to two summands each; x is either any module or one
+    # of the dimension vector of u + v, so that the Hom comparison, not the
+    # dimension check, decides. Scaling all three by 12 pushes theta . dim
+    # far past the 2 theta . theta that sizes the walk's fields.
+    ctx = draw(st.sampled_from(DEGENERATION_CONTEXTS))
+
+    def summands():
+        positions = draw(st.lists(st.integers(1, ctx.N), min_size=1, max_size=2))
+        return tuple(positions.count(t) for t in range(1, ctx.N + 1))
+
+    u, v = summands(), summands()
+    if draw(st.booleans()):
+        dim = ctx.dim_vector(tuple(a + b for a, b in zip(u, v)))
+        x = draw(st.sampled_from(bounded_multisets(dim, ctx.betas)))
+    else:
+        x = tuple(draw(st.lists(st.integers(0, 3), min_size=ctx.N, max_size=ctx.N)))
+    scale = draw(st.sampled_from([1, 2, 12]))
+    x, u, v = (tuple(scale * a for a in m) for m in (x, u, v))
+    zs = sorted(draw(st.sets(st.integers(1, ctx.N))))
+    return ctx, x, u, v, zs
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DimensionMismatch:
+        return DimensionMismatch
+
+
+@settings(max_examples=400, deadline=None)
+@given(_module_triple())
+def test_packed_degeneration_matches_sparse_reference(problem):
+    ctx, x, u, v, zs = problem
+    y = tuple(a + b for a, b in zip(u, v))
+    every = range(1, ctx.N + 1)
+    assert ctx.hom_leq_strict(x, y) == hom_dominated_sparse(ctx, x, y, every)
+    assert ctx.hom_leq_strict(y, x) == hom_dominated_sparse(ctx, y, x, every)
+    assert ctx._hom_leq(x, y, zs) == hom_dominated_sparse(ctx, x, y, zs)
+    assert _outcome(ctx.degenerates_properly, x, u, v) == _outcome(
+        degenerates_properly_sparse, ctx, x, u, v
+    )
+
+
+def test_packed_degeneration_with_large_multiplicities():
+    # 40 copies of an extension and of its split form: each field is far
+    # past the walk's 4-bit fields for the A3 staircase.
+    ctx = DEGENERATION_CONTEXTS[0]
+    k, l = ctx.ext_pairs()[0]
+    (x,) = ctx.middle_terms(k, l)
+    big, u, v = (tuple(40 * a for a in m) for m in (x, ctx.unit(k), ctx.unit(l)))
+    split = tuple(a + b for a, b in zip(u, v))
+    assert ctx.degenerates_properly(big, u, v)
+    assert ctx.hom_leq_strict(big, split)
+    assert not ctx.hom_leq_strict(split, big)
+    assert not ctx.degenerates_properly(split, u, v)
+    with pytest.raises(DimensionMismatch):
+        ctx.degenerates_properly(big, u, ctx.unit(l))
+
+
+# -- middle terms with the Hom budget against the filtered walk ---------------
+
+
+def _strided_words(family, rank):
+    for quiver in all_orientations(cartan_matrix(family, rank)):
+        words = enumerate_adapted_words(quiver)
+        for word in words[:: max(1, len(words) // 12)]:
+            yield quiver, word
+
+
+@pytest.mark.parametrize("family, rank", [("A", 4), ("D", 4), ("E", 6)])
+def test_middle_terms_match_filtered_walk(family, rank):
+    if family == "E":
+        quiver = all_orientations(cartan_matrix(family, rank))[0]
+        cases = [(quiver, first_adapted_word(quiver))]
+    else:
+        cases = list(_strided_words(family, rank))
+    for quiver, word in cases:
+        ctx = RepContext(quiver, word)
+        for k, l in ctx.ext_pairs():
+            assert ctx.middle_terms(k, l) == middle_terms_by_filter(ctx, k, l)
+
+
+# D4 (1>2,2>3,2>4): with the Hom column of U_9 emptied, the walk lets
+# U_2 + U_9 through for (1, 10), which the cross-check must reject.
+D4_QUIVER, D4_WORD = "1>2,2>3,2>4", "3,4,2,1,3,4,2,1,3,4,2,1"
+
+
+def _empty_hom_column(monkeypatch, t):
+    # Only the walk's packing, at the context width, loses the column; the
+    # cross-check of (1, 10) sums at a narrower width, packed afresh.
+    init = RepContext.__init__
+
+    def patched(self, *args):
+        init(self, *args)
+        self._packing(self._width)[1][t - 1] &= (1 << self._width * self.n) - 1
+
+    monkeypatch.setattr(RepContext, "__init__", patched)
+
+
+def test_wrong_hom_column_fails_the_cross_check(monkeypatch, capsys):
+    _empty_hom_column(monkeypatch, 9)
+    ctx = RepContext(quiverrep.parse_quiver(D4_QUIVER), map(int, D4_WORD.split(",")))
+    with pytest.raises(ConsistencyFailure, match=r"of \(1,10\) fails"):
+        ctx.middle_terms(1, 10)
+    code = run(["quiver", "middle", "--quiver", D4_QUIVER, "--word", D4_WORD])
+    assert code == 2
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["error"] == "ConsistencyFailure"
 
 
 # -- double description against every square subsystem -----------------------
@@ -243,3 +425,35 @@ def test_degree_cone_is_independent_of_the_adapted_word(family, rank):
         reference = _cone_by_root(quiver, words[0])
         for word in words[1:]:
             assert _cone_by_root(quiver, word) == reference
+
+
+# -- fraction-free row reduction against the Fraction route -------------------
+
+
+@st.composite
+def _int_matrix(draw):
+    # Up to 6 x 6, with whole zero rows and zero columns mixed in.
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols - 1))
+    entry = st.sampled_from([0, 0, 1, -1, 2, -3, 5, 7])
+    matrix = []
+    for _ in range(rows):
+        if draw(st.integers(0, 4)) == 0:
+            matrix.append([0] * cols)
+        else:
+            row = draw(st.lists(entry, min_size=cols, max_size=cols))
+            matrix.append([0 if c in zero_cols else x for c, x in enumerate(row)])
+    return matrix
+
+
+@settings(max_examples=400, deadline=None)
+@given(_int_matrix())
+def test_row_reduction_matches_fraction_route(matrix):
+    expected = (
+        rank_by_fractions(matrix),
+        row_space_by_fractions(matrix),
+        nullspace_by_fractions(matrix),
+    )
+    as_fractions = [[Fraction(x) for x in row] for row in matrix]
+    for rows in (matrix, as_fractions):
+        assert (rank(rows), row_space_basis(rows), nullspace_basis(rows)) == expected
