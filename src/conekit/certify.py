@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from .conelab import (
     ConeReport,
@@ -65,8 +66,12 @@ def _d4_center_quiver() -> DynkinQuiver:
     return quiver_from_arrows(4, ((1, 2), (3, 2), (4, 2)))
 
 
-def _conjecture_cases() -> list[tuple[DynkinQuiver, tuple[int, ...]]]:
-    """All adapted words of every A3 orientation, equioriented A4, one D4."""
+@lru_cache(maxsize=None)
+def _conjecture_cases() -> tuple[tuple[DynkinQuiver, tuple[int, ...]], ...]:
+    """All adapted words of every A3 orientation, equioriented A4, one D4.
+
+    Built once per process: criteria 2, 3 and 9 all walk these cases.
+    """
     cases = []
     for quiver in all_orientations(cartan_matrix("A", 3)):
         for word in enumerate_adapted_words(quiver):
@@ -76,7 +81,7 @@ def _conjecture_cases() -> list[tuple[DynkinQuiver, tuple[int, ...]]]:
         cases.append((a4, word))
     d4 = _d4_center_quiver()
     cases.append((d4, enumerate_adapted_words(d4)[0]))
-    return cases
+    return tuple(cases)
 
 
 def _expected_staircase_forms(rank: int) -> set[tuple[int, ...]]:

@@ -1,8 +1,9 @@
 """Finite-field Hall algebra oracle for equioriented type A quivers.
 
-Structure constants are counted over several prime fields, interpolated to
-a polynomial, and re-checked at one held-out prime. Each count is
-Riedtmann's formula
+Structure constants come from one cached pass per ordered pair (V, W): the
+support is read off the extension classes of V by W, and each class in it
+gets one polynomial, fitted from counts over several prime fields and
+re-checked at one held-out prime. Each count is Riedtmann's formula
 
     F^X_{V,W} = |Ext^1(V,W)_X| |Aut X| / (|Aut V| |Aut W| |Hom(V,W)|):
 
@@ -21,7 +22,7 @@ from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
 
-from .quiverrep import RepContext, bounded_multisets, equioriented_a, euler_form
+from .quiverrep import RepContext, equioriented_a, euler_form
 from .rootsys import VerificationFailure, k_shift
 
 Interval = tuple[int, int]
@@ -110,37 +111,6 @@ class LaurentPoly:
         return sum((Fraction(v) * Fraction(x) ** e for e, v in self.c.items()),
                    Fraction(0))
 
-    def divide_exact(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact division in Z[q, q^-1]; raises ValueError on any remainder."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return LaurentPoly.zero()
-        rem = {e: Fraction(v) for e, v in self.c.items()}
-        div = sorted(other.c.items())
-        lead_e, lead_c = div[-1]
-        # an exact quotient cannot reach below this exponent
-        floor = min(self.c) - div[0][0]
-        out: dict[int, Fraction] = {}
-        while rem:
-            top = max(rem)
-            shift = top - lead_e
-            if shift < floor:
-                raise ValueError("division leaves a remainder")
-            factor = rem[top] / lead_c
-            out[shift] = factor
-            for e, v in div:
-                rem[e + shift] = rem.get(e + shift, 0) - factor * v
-                if rem[e + shift] == 0:
-                    del rem[e + shift]
-        result = {}
-        for e, v in out.items():
-            if v.denominator != 1:
-                raise ValueError("quotient is not integral")
-            if v:
-                result[e] = int(v)
-        return LaurentPoly(result)
-
     def to_dict(self) -> dict:
         return {str(e): v for e, v in sorted(self.c.items())}
 
@@ -157,18 +127,6 @@ class LaurentPoly:
             else:
                 bits.append(f"{v}*{mono}")
         return " + ".join(bits).replace("+ -", "- ")
-
-
-def q_integer(m: int) -> LaurentPoly:
-    """Balanced quantum integer q^{m-1} + q^{m-3} + ... + q^{1-m}."""
-    return LaurentPoly({e: 1 for e in range(m - 1, -m, -2)})
-
-
-def q_factorial(m: int) -> LaurentPoly:
-    out = LaurentPoly.one()
-    for i in range(2, m + 1):
-        out = out * q_integer(i)
-    return out
 
 
 # -- modules as interval multisets ------------------------------------------
@@ -242,6 +200,13 @@ def _check_scale(n: int, m: Module):
         raise ScaleExceeded(
             f"total dimension {total_dim(m)} exceeds the supported {MAX_TOTAL_DIM}"
         )
+
+
+def _check_pair(n: int, v: Module, w: Module):
+    """Dimension vectors of V and W, checked against n and then the scale."""
+    dims = dim_vector(n, v), dim_vector(n, w)
+    _check_scale(n, v + w)
+    return dims
 
 
 def _check_ext_classes(ext: int, primes):
@@ -454,34 +419,40 @@ def count_submodules(n: int, x: Module, w: Module, v: Module, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def hall_polynomial(n: int, v: Module, w: Module, x: Module) -> LaurentPoly:
-    """The counting polynomial H^X_{V,W}: submodules W with quotient V.
-
-    Counts at interpolation-many primes, fits the polynomial, and re-checks
-    at a held-out prime; any mismatch means the degree bound argument failed
-    and is raised, never papered over.
+def _hall_polynomials(n: int, v: Module, w: Module) -> MappingProxyType:
+    """X -> H^X_{V,W} for every X that is the middle term of an extension of V
+    by W, read off the extension classes. Each polynomial is fitted at
+    interpolation-many primes and re-checked at a held-out prime; a mismatch
+    means the degree bound argument failed and is raised, never papered over.
     """
+    dv, dw = _check_pair(n, v, w)
+    # deg H <= sum_i dim V_i dim W_i, the dimension of the Grassmannians of W
+    # in X; the fit takes two primes past that bound and holds out one more
+    needed = sum(a * b for a, b in zip(dv, dw)) + 3
+    if needed > len(PRIMES):
+        raise ScaleExceeded("degree bound outruns the prime table")
+    primes, held_out = PRIMES[:needed], PRIMES[needed - 1]
+    # every histogram enumerates p^ext classes, so refuse before the first one
+    _check_ext_classes(ext_dim(n, v, w), primes)
+    table = {}
+    for x in sorted(set().union(*(_extension_classes(n, v, w, p) for p in primes))):
+        counts = [count_submodules(n, x, w, v, p) for p in primes]
+        poly = table[x] = _lagrange(primes[:-1], counts[:-1])
+        if poly.evaluate(held_out) != counts[-1]:
+            raise InterpolationInconsistent(
+                f"H^{format_module(x)}_{{{format_module(v)},{format_module(w)}}}: "
+                f"fit predicts {poly.evaluate(held_out)} at p={held_out}, count is {counts[-1]}"
+            )
+    return MappingProxyType(table)  # cached, so shared read-only
+
+
+def hall_polynomial(n: int, v: Module, w: Module, x: Module) -> LaurentPoly:
+    """The counting polynomial H^X_{V,W}: submodules W with quotient V."""
     _check_scale(n, x)
     dx = dim_vector(n, x)
     if tuple(a + b for a, b in zip(dim_vector(n, v), dim_vector(n, w))) != dx:
         return LaurentPoly.zero()
-    e = dim_vector(n, w)
-    degree_bound = sum(ei * (di - ei) for ei, di in zip(e, dx)) + 1
-    needed = degree_bound + 2
-    if needed > len(PRIMES):
-        raise ScaleExceeded("degree bound outruns the prime table")
-    primes = PRIMES[:needed]
-    # every count enumerates p^ext classes, so refuse before the first one
-    _check_ext_classes(ext_dim(n, v, w), primes)
-    counts = [count_submodules(n, x, w, v, p) for p in primes]
-    poly = _lagrange(primes[:-1], counts[:-1])
-    held_out = primes[-1]
-    if poly.evaluate(held_out) != counts[-1]:
-        raise InterpolationInconsistent(
-            f"H^{format_module(x)}_{{{format_module(v)},{format_module(w)}}}: "
-            f"fit predicts {poly.evaluate(held_out)} at p={held_out}, count is {counts[-1]}"
-        )
-    return poly
+    return _hall_polynomials(n, v, w).get(x, LaurentPoly.zero())
 
 
 def _lagrange(xs, ys) -> LaurentPoly:
@@ -567,33 +538,17 @@ class HallElement:
 
 
 def hall_product(n: int, m1: Module, m2: Module) -> HallElement:
-    """F_{M1} . F_{M2} in the twisted Hall algebra."""
-    return _hall_product_cached(n, normalize_module(m1), normalize_module(m2))
-
-
-@lru_cache(maxsize=None)
-def _hall_product_cached(n: int, m1: Module, m2: Module) -> HallElement:
-    target = tuple(
-        a + b for a, b in zip(dim_vector(n, m1), dim_vector(n, m2))
-    )
-    _check_scale(n, m1 + m2)
+    """F_{M1} . F_{M2} in the twisted Hall algebra: the class X has coefficient
+    q^{[M1,M1] + [M2,M2] + <M1,M2> - [X,X]} H^X_{M1,M2}(q^2)."""
+    m1, m2 = normalize_module(m1), normalize_module(m2)
+    table = _hall_polynomials(n, m1, m2)
     base_exp = hom_dim(m1, m1) + hom_dim(m2, m2) + euler_form(
         equioriented_a(n), dim_vector(n, m1), dim_vector(n, m2)
     )
-    intervals = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
-    columns = [dim_vector(n, (iv,)) for iv in intervals]
-    modules = sorted(
-        tuple(iv for iv, m in zip(intervals, mults) for _ in range(m))
-        for mults in bounded_multisets(target, columns)
-    )
-    terms: dict[Module, LaurentPoly] = {}
-    for x in modules:
-        h = hall_polynomial(n, m1, m2, x)
-        if h.is_zero():
-            continue
-        coeff = LaurentPoly.q_power(base_exp - hom_dim(x, x)) * h.subst_square()
-        terms[x] = coeff
-    return HallElement(n, terms)
+    return HallElement(n, {
+        x: LaurentPoly.q_power(base_exp - hom_dim(x, x)) * h.subst_square()
+        for x, h in table.items()
+    })
 
 
 def q_commutator(n: int, v: Interval, u: Interval) -> HallElement:
@@ -606,7 +561,7 @@ def q_commutator(n: int, v: Interval, u: Interval) -> HallElement:
     """
     vm: Module = (tuple(v),)
     um: Module = (tuple(u),)
-    _check_scale(n, vm + um)
+    _check_pair(n, vm, um)
     if hom_dim(vm, um) != 0:
         raise ValueError(
             f"Hom({format_module(vm)},{format_module(um)}) != 0: wrong order"
@@ -625,32 +580,6 @@ def q_commutator(n: int, v: Interval, u: Interval) -> HallElement:
             f"split class {format_module(split)} survives with {result.terms[split]}"
         )
     return result
-
-
-def pbw_monomial(n: int, factors) -> HallElement:
-    """Product of divided powers F_{U}^{(m)} in the given order."""
-    out: HallElement | None = None
-    for interval, mult in factors:
-        single: Module = (tuple(interval),)
-        if mult < 1:
-            continue
-        power = HallElement.basis(n, single)
-        for _ in range(mult - 1):
-            power = _element_product(power, HallElement.basis(n, single))
-        divided = HallElement(
-            n,
-            {m: p.divide_exact(q_factorial(mult)) for m, p in power.terms.items()},
-        )
-        out = divided if out is None else _element_product(out, divided)
-    return out if out is not None else HallElement(n, {(): LaurentPoly.one()})
-
-
-def _element_product(a: HallElement, b: HallElement) -> HallElement:
-    out = HallElement(a.n, {})
-    for m2, p2 in b.terms.items():
-        for m1, p1 in a.terms.items():
-            out = out + hall_product(a.n, m1, m2).scaled(p1 * p2)
-    return out
 
 
 # -- bridge to word contexts -------------------------------------------------

@@ -9,9 +9,9 @@ rebuilt combinatorially from the word and cross-validated against the Euler
 form; any disagreement raises ConsistencyFailure rather than guessing.
 
 One capped walk, `_fillings`, enumerates modules: middle-term fillings, and
-through `bounded_multisets` K-theory and Hall modules of a dimension
-vector. It walks on packed integers, one guarded bit field per coordinate,
-some fields exact and the others upper bounds. An exact walk drops a
+through `bounded_multisets` the K-theory modules of bounded height. It
+walks on packed integers, one guarded bit field per coordinate, some
+fields exact and the others upper bounds. An exact walk drops a
 remainder once a nonzero exact field has no later column to lower it, or
 once it has come up empty from the same column on. A `RepContext` packs
 each root once, its dimension vector and then its Hom column

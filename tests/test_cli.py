@@ -200,11 +200,16 @@ def test_roots_words_rejects_large_types_up_front(capsys):
 
 
 def test_hall_comm_rejects_undirected_pairs(capsys):
-    for v, u, message in (
-        ("1-1", "1-1", "Hom(1-1,1-1) != 0: wrong order"),
-        ("2-2", "1-1", "Ext^1(1-1,2-2) != 0: wrong order"),
+    # an interval past vertex n is reported before the Hom and Ext order is
+    # read, and before the scale, as in `hall prod`
+    for n, v, u, message in (
+        ("2", "1-1", "1-1", "Hom(1-1,1-1) != 0: wrong order"),
+        ("2", "2-2", "1-1", "Ext^1(1-1,2-2) != 0: wrong order"),
+        ("2", "1-3", "1-1", "interval [1,3] exceeds vertex count 2"),
+        ("2", "1-1", "1-3", "interval [1,3] exceeds vertex count 2"),
+        ("6", "1-7", "1-1", "interval [1,7] exceeds vertex count 6"),
     ):
-        code, out, err = _invoke(capsys, ["hall", "comm", "--n", "2", "--v", v, "--u", u])
+        code, out, err = _invoke(capsys, ["hall", "comm", "--n", n, "--v", v, "--u", u])
         assert code == 1
         assert out == ""
         assert err == f"conekit: error: {message}\n"

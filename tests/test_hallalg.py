@@ -10,6 +10,7 @@ import itertools
 import pytest
 
 from conekit.hallalg import (
+    PRIMES,
     HallElement,
     LaurentPoly,
     ScaleExceeded,
@@ -24,14 +25,17 @@ from conekit.hallalg import (
     module_from_positions,
     normalize_module,
     parse_module,
-    pbw_monomial,
     q_commutator,
-    q_factorial,
-    q_integer,
     total_dim,
     verify_term_theorem,
 )
-from conekit.quiverrep import RepContext, enumerate_adapted_words, equioriented_a
+from conekit.quiverrep import (
+    RepContext,
+    bounded_multisets,
+    enumerate_adapted_words,
+    equioriented_a,
+    euler_form,
+)
 from hall_oracle import count_by_subspaces
 
 S1 = parse_module("1-1")
@@ -50,28 +54,6 @@ class TestLaurentPoly:
         assert (q - q).is_zero()
         assert LaurentPoly.integer(3) + LaurentPoly.integer(-3) == LaurentPoly.zero()
         assert (q + LaurentPoly.one()) * (q - LaurentPoly.one()) == _q(2) - LaurentPoly.one()
-
-    def test_q_integer_is_balanced(self):
-        assert q_integer(1) == LaurentPoly.one()
-        assert q_integer(2) == _q(1) + _q(-1)
-        assert q_integer(3) == _q(2) + LaurentPoly.one() + _q(-2)
-        assert q_integer(2).evaluate(1) == 2
-
-    def test_q_factorial(self):
-        assert q_factorial(0) == LaurentPoly.one()
-        assert q_factorial(3) == q_integer(1) * q_integer(2) * q_integer(3)
-        assert q_factorial(3).evaluate(1) == 6
-
-    def test_divide_exact_roundtrip(self):
-        a = q_integer(3) * q_factorial(2) + _q(5)
-        b = q_integer(2)
-        assert (a * b).divide_exact(b) == a
-
-    def test_divide_exact_rejects_remainder(self):
-        with pytest.raises(ValueError):
-            (_q(1) + LaurentPoly.one() + LaurentPoly.one()).divide_exact(
-                _q(1) + LaurentPoly.one()
-            )
 
     def test_subst_square(self):
         p = _q(1) + LaurentPoly.integer(2)
@@ -152,14 +134,15 @@ def test_scale_guard():
 
 
 def test_divided_powers_give_bare_basis_classes():
-    el = pbw_monomial(2, (((1, 2), 1), ((1, 1), 2)))
-    assert {format_module(m): c for m, c in el.terms.items()} == {
-        "1-1,1-1,1-2": LaurentPoly.one()
-    }
-    el2 = pbw_monomial(3, (((2, 3), 1), ((1, 3), 1), ((1, 1), 1)))
-    assert {format_module(m): c for m, c in el2.terms.items()} == {
-        "1-1,1-3,2-3": LaurentPoly.one()
-    }
+    def terms(n, m1, m2):
+        prod = hall_product(n, parse_module(m1), parse_module(m2))
+        return {format_module(m): c for m, c in prod.terms.items()}
+
+    # F_{1-1}^2 = [2] F_{1-1^2}, so the divided square is the bare class
+    assert terms(2, "1-1", "1-1") == {"1-1,1-1": _q(1) + _q(-1)}
+    assert terms(2, "1-2", "1-1^2") == {"1-1,1-1,1-2": LaurentPoly.one()}
+    assert terms(3, "2-3", "1-3") == {"1-3,2-3": LaurentPoly.one()}
+    assert terms(3, "1-3,2-3", "1-1") == {"1-1,1-3,2-3": LaurentPoly.one()}
 
 
 def test_interval_of_root():
@@ -234,6 +217,38 @@ def _product_element(u, el: HallElement, n: int) -> HallElement:
     for m, coeff in el.terms.items():
         out = out + hall_product(n, u, m).scaled(coeff)
     return out
+
+
+def _product_over_candidates(n: int, a, b) -> HallElement:
+    """F_a . F_b from every interval multiset X of the target dimension,
+    each checked against its counts at every prime of the fit."""
+    da, db = dim_vector(n, a), dim_vector(n, b)
+    primes = PRIMES[: sum(x * y for x, y in zip(da, db)) + 3]
+    base = hom_dim(a, a) + hom_dim(b, b) + euler_form(equioriented_a(n), da, db)
+    intervals = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    columns = [dim_vector(n, (iv,)) for iv in intervals]
+    terms = {}
+    for mults in bounded_multisets(tuple(map(sum, zip(da, db))), columns):
+        x = tuple(iv for iv, m in zip(intervals, mults) for _ in range(m))
+        h = hall_polynomial(n, a, b, x)
+        for p in primes:
+            assert h.evaluate(p) == count_submodules(n, x, b, a, p), (a, b, x, p)
+        if not h.is_zero():
+            terms[x] = _q(base - hom_dim(x, x)) * h.subst_square()
+    return HallElement(n, terms)
+
+
+@pytest.mark.parametrize("n,bound", [(2, 4), (3, 3), (4, 3)])
+def test_product_support_matches_candidate_enumeration(n, bound):
+    """The support read off the extension classes misses no candidate: every
+    product of the benchmark's family equals the candidate-by-candidate sum."""
+    mods = _modules_up_to(n, bound)
+    pairs = [
+        (a, b) for a in mods for b in mods if total_dim(a) + total_dim(b) <= bound
+    ]
+    for a, b in pairs:
+        assert hall_product(n, a, b).terms == _product_over_candidates(n, a, b).terms
+    assert len(pairs) == {(2, 4): 60, (3, 3): 57, (4, 3): 120}[n, bound]
 
 
 @pytest.mark.parametrize("n,bound,word", [(2, 4, (2, 1, 2)), (3, 3, (3, 2, 3, 1, 2, 3))])
