@@ -116,11 +116,11 @@ def degree_cone(quiver: DynkinQuiver, word, ctx: RepContext | None = None) -> Ra
     if ctx is None:
         ctx = RepContext(quiver, word)
     forms = {
-        normalize_form(_term_form(ctx.N, k, l, dict(enumerate(x, start=1))))
+        _term_form(ctx.N, k, l, dict(enumerate(x, start=1)))
         for k, l in ctx.ext_pairs()
         for x in ctx.middle_terms(k, l, mode="oracle")
     }
-    return RationalCone.from_inequalities(ctx.N, sorted(forms))
+    return RationalCone.from_inequalities(ctx.N, forms)
 
 
 @dataclass(frozen=True)

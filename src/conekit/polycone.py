@@ -3,17 +3,22 @@
 All cones are closed convex rational cones ``{x : f . x >= 0}``. Both
 representations are kept over the integers: inequality forms, extreme rays,
 and lineality bases are primitive integer vectors. There is no floating
-point and no LP solver anywhere in this module; conversions run the double
-description method with the combinatorial adjacency test (prefiltered by
-a count of shared tight forms), with lineality handled by pivoting.
+point and no LP solver anywhere in this module. Each cone costs one run of
+the double description method (`dd_vrep`), with the combinatorial adjacency
+test (prefiltered by a count of shared tight forms), lineality handled by
+pivoting, and every form evaluated on its nonzero coordinates only. The
+run keeps the set of forms tight on each ray, and the other side of the
+cone (its facets and span equations, or for a cone given by generators its
+rays and lineality) is read off those zero sets with no second run.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter, mul
 
-from .linalg import dot, integerize, primitive, row_space_basis
+from .linalg import integerize, primitive, row_space_basis
 
 IntVec = tuple[int, ...]
 
@@ -56,11 +61,38 @@ def _reduce_mod_rows(v: IntVec, basis: list[IntVec]) -> IntVec:
     return primitive(w)
 
 
-def dd_vrep(dim: int, forms: list[IntVec]) -> tuple[list[IntVec], list[IntVec]]:
-    """V-representation (extreme rays, lineality basis) of an H-cone.
+def _evaluator(a: IntVec, dim: int):
+    """The map r -> a . r, reading only the nonzero coordinates of a.
+
+    Raises the ValueError of `linalg.dot` when a does not have length dim.
+    A single-entry form is one product. Through an itemgetter, a form with
+    at most a third of its coordinates nonzero is evaluated in 0.3-0.9 of
+    the time of the plain sum in dimension 8-42 (about even in dimension
+    6); a denser form is not faster that way (0.8-1.4), so it keeps the
+    plain sum.
+    """
+    if len(a) != dim:
+        raise ValueError(f"length mismatch: {len(a)} vs {dim}")
+    nonzero = dim - a.count(0)
+    if not nonzero or 3 * nonzero > dim:
+        return lambda r: sum(map(mul, a, r))
+    support = [i for i, x in enumerate(a) if x]
+    if nonzero == 1:
+        (i,) = support
+        c = a[i]
+        return lambda r: c * r[i]
+    coeffs, pick = [a[i] for i in support], itemgetter(*support)
+    return lambda r: sum(map(mul, coeffs, pick(r)))
+
+
+def dd_vrep(dim: int, forms: list[IntVec]) -> tuple[list[IntVec], list[IntVec], list[int]]:
+    """V-representation (extreme rays, lineality basis) of an H-cone, with
+    the zero set of each ray.
 
     The rays come back primitive, reduced modulo the lineality space, and
     lexicographically sorted; the lineality basis is the canonical RREF one.
+    The third list is aligned with the rays: bit i of its entry is set when
+    ``forms[i]`` is tight on that ray.
     """
     lineality: list[IntVec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
@@ -68,13 +100,14 @@ def dd_vrep(dim: int, forms: list[IntVec]) -> tuple[list[IntVec], list[IntVec]]:
     rays: list[tuple[IntVec, int]] = []  # (vector, zero-set bitmask)
     for idx, a in enumerate(forms):
         bit = 1 << idx
-        lin_vals = [dot(a, l) for l in lineality]
+        value = _evaluator(a, dim)
+        lin_vals = [value(l) for l in lineality]
         pivot = next((i for i, v in enumerate(lin_vals) if v != 0), None)
         if pivot is not None:
             v = lineality[pivot]
-            if lin_vals[pivot] < 0:
-                v = tuple(-x for x in v)
-            av = dot(a, v)
+            av = lin_vals[pivot]
+            if av < 0:
+                v, av = tuple(-x for x in v), -av
             new_lin = []
             for i, l in enumerate(lineality):
                 if i == pivot:
@@ -87,7 +120,7 @@ def dd_vrep(dim: int, forms: list[IntVec]) -> tuple[list[IntVec], list[IntVec]]:
             lineality = new_lin
             new_rays = []
             for r, zs in rays:
-                ar = dot(a, r)
+                ar = value(r)
                 if ar != 0:
                     r = primitive(tuple(av * x - ar * y for x, y in zip(r, v)))
                 new_rays.append((r, zs | bit))
@@ -95,8 +128,8 @@ def dd_vrep(dim: int, forms: list[IntVec]) -> tuple[list[IntVec], list[IntVec]]:
             new_rays.append((primitive(v), bit - 1))
             rays = new_rays
             continue
-        vals = [dot(a, r) for r, _ in rays]
-        if all(v >= 0 for v in vals):
+        vals = [value(r) for r, _ in rays]
+        if min(vals, default=0) >= 0:
             rays = [(r, zs | bit if val == 0 else zs) for (r, zs), val in zip(rays, vals)]
             continue
         pos = [i for i, v in enumerate(vals) if v > 0]
@@ -124,8 +157,43 @@ def dd_vrep(dim: int, forms: list[IntVec]) -> tuple[list[IntVec], list[IntVec]]:
                 kept.append((w, common | bit))
         rays = kept
     lin_basis = row_space_basis(list(lineality))
-    out_rays = sorted(_reduce_mod_rows(r, lin_basis) for r, _ in rays)
-    return out_rays, lin_basis
+    out = sorted((_reduce_mod_rows(r, lin_basis), zs) for r, zs in rays)
+    return [r for r, _ in out], lin_basis, [zs for _, zs in out]
+
+
+def _both_sides(dim: int, forms: list[IntVec]):
+    """V-representations of C = {x : f . x >= 0 for f in forms} and of its
+    dual, the cone generated by `forms`, from one DD.
+
+    The dual is read off the zero sets of the rays of C. The forms tight on
+    every ray vanish on all of C: they are the implicit equalities, and
+    their row space is the lineality of the dual. Every other form cuts out
+    the proper face of C spanned by the lineality and the rays it is tight
+    on. A face of a cone that is pointed modulo its lineality is determined
+    by its rays, and a facet is a maximal proper face, each cut out by one
+    of the forms; so the facets are the distinct inclusion-maximal ray
+    sets. Two forms of one facet agree modulo the implicit equalities up to
+    a positive factor, so one form per facet, reduced modulo them, is a ray
+    of the dual.
+    """
+    rays, lineality, zero_sets = dd_vrep(dim, forms)
+    # Transpose through one bit string per ray: rays_of[j] has one bit per
+    # ray, set where forms[j] is tight on it.
+    width = len(forms)
+    rows = [format(zs, "b").zfill(width)[::-1] for zs in zero_sets]
+    rays_of = [int("".join(col), 2) for col in zip(*rows)] if rows else [0] * width
+    every = (1 << len(rays)) - 1
+    basis = row_space_basis([f for f, s in zip(forms, rays_of) if s == every])
+    face_form: dict[int, IntVec] = {}
+    for f, s in zip(forms, rays_of):
+        if s != every:
+            face_form.setdefault(s, f)
+    facets: list[int] = []
+    for s in sorted(face_form, key=int.bit_count, reverse=True):
+        if all(s & t != s for t in facets):
+            facets.append(s)
+    dual_rays = sorted({_reduce_mod_rows(face_form[s], basis) for s in facets})
+    return (rays, lineality), (dual_rays, basis)
 
 
 @dataclass(frozen=True)
@@ -140,7 +208,7 @@ class ConeProfile:
 class RationalCone:
     """A rational cone with lazily synchronized H- and V-representations."""
 
-    __slots__ = ("dim", "_ineqs", "_vrep", "_dualrep")
+    __slots__ = ("dim", "_ineqs", "_vrep", "_dualrep", "_evaluators")
 
     def __init__(self, dim: int, _ineqs=None, _vrep=None, _dualrep=None):
         if dim < 1:
@@ -149,6 +217,7 @@ class RationalCone:
         self._ineqs = _ineqs
         self._vrep = _vrep
         self._dualrep = _dualrep
+        self._evaluators = None
 
     @classmethod
     def from_inequalities(cls, dim: int, forms) -> "RationalCone":
@@ -157,7 +226,7 @@ class RationalCone:
             if len(f) != dim:
                 raise DimensionMismatch(f"form {f} does not have length {dim}")
             v = normalize_form(f, allow_zero=True)
-            if any(x != 0 for x in v):
+            if any(v):
                 normalized.append(v)
         return cls(dim, _ineqs=tuple(sorted(set(normalized))))
 
@@ -168,28 +237,35 @@ class RationalCone:
             if len(r) != dim:
                 raise DimensionMismatch(f"generator {r} does not have length {dim}")
             v = normalize_form(r, allow_zero=True)
-            if any(x != 0 for x in v):
+            if any(v):
                 gens.append(v)
         # Generators of the cone are inequality forms of its dual.
-        dualrep = dd_vrep(dim, sorted(set(gens)))
-        return cls(dim, _dualrep=dualrep)
+        dualrep, vrep = _both_sides(dim, sorted(set(gens)))
+        return cls(dim, _vrep=vrep, _dualrep=dualrep)
 
     # -- representations ---------------------------------------------------
 
-    def _forms_for_dd(self) -> list[IntVec]:
+    def _expand(self) -> None:
+        """Fill in whichever representation is missing.
+
+        A cone given by inequalities gets both sides from one DD over them;
+        a cone given by its rays and lineality only gets its facets and span
+        equations from one DD over those generators.
+        """
         if self._ineqs is not None:
-            return list(self._ineqs)
-        return with_lines(*self._dualrep)
+            self._vrep, self._dualrep = _both_sides(self.dim, list(self._ineqs))
+        else:
+            self._dualrep, self._vrep = _both_sides(self.dim, with_lines(*self._vrep))
 
     def vrep(self) -> tuple[list[IntVec], list[IntVec]]:
         if self._vrep is None:
-            self._vrep = dd_vrep(self.dim, self._forms_for_dd())
+            self._expand()
         return self._vrep
 
     def dualrep(self) -> tuple[list[IntVec], list[IntVec]]:
         """V-representation of the dual cone: (facet normals, span-complement)."""
         if self._dualrep is None:
-            self._dualrep = dd_vrep(self.dim, sorted(set(with_lines(*self.vrep()))))
+            self._expand()
         return self._dualrep
 
     @property
@@ -238,12 +314,18 @@ class RationalCone:
     def violation(self, v):
         """("form", f) for the first facet with f.v < 0, else ("equation", e)
         for the first span equation with e.v != 0, else None (v is inside)."""
-        facets, span_perp = self.dualrep()
-        for f in facets:
-            if dot(f, v) < 0:
+        if len(v) != self.dim:
+            raise DimensionMismatch(f"length mismatch: {len(v)} vs {self.dim}")
+        if self._evaluators is None:
+            self._evaluators = tuple(
+                [(f, _evaluator(f, self.dim)) for f in forms] for forms in self.dualrep()
+            )
+        facets, span_perp = self._evaluators
+        for f, value in facets:
+            if value(v) < 0:
                 return "form", f
-        for e in span_perp:
-            if dot(e, v) != 0:
+        for e, value in span_perp:
+            if value(v) != 0:
                 return "equation", e
         return None
 
@@ -257,8 +339,6 @@ class RationalCone:
         return None
 
     def contains_point(self, v) -> bool:
-        if len(v) != self.dim:
-            raise DimensionMismatch("point has the wrong length")
         return self.violation(v) is None
 
     def contains(self, other: "RationalCone") -> bool:

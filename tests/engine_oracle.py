@@ -12,7 +12,10 @@ candidates of a dimension-only walk that pass them, where
 `linalg.integerize`, `polycone._reduce_mod_rows` and the fraction-free
 `linalg.rref` replace; `brute_extreme_rays` lists the extreme rays of a
 pointed cone from every square subsystem of its forms, with no double
-description. The tests compare each fast path against these.
+description; `dual_by_second_dd` is the dual of a cone by a second double
+description over its generators, which `RationalCone` replaces by reading
+the dual off the zero sets of its one run. The tests compare each fast path
+against these.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from itertools import combinations, product
 from math import lcm
 
 from conekit.linalg import dot, nullspace_basis, primitive
-from conekit.polycone import DimensionMismatch
+from conekit.polycone import DimensionMismatch, dd_vrep, with_lines
 from conekit.quiverrep import bounded_multisets
 
 
@@ -172,3 +175,10 @@ def brute_extreme_rays(dim: int, forms) -> list[tuple[int, ...]]:
             if all(dot(f, ray) >= 0 for f in forms):
                 rays.add(ray)
     return sorted(rays)
+
+
+def dual_by_second_dd(dim: int, rays, lineality) -> tuple[list, list]:
+    """V-representation (rays, lineality basis) of the dual of the cone
+    generated by `rays` and the lines `lineality`: the generators, each line
+    in both directions, are the forms of the dual."""
+    return dd_vrep(dim, with_lines(rays, lineality))[:2]

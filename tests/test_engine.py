@@ -18,10 +18,10 @@ from operator import le
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conekit import conelab, quiverrep
+from conekit import conelab, polycone, quiverrep
 from conekit.cli import run
-from conekit.linalg import integerize, nullspace_basis, rank, row_space_basis
-from conekit.polycone import DimensionMismatch, _reduce_mod_rows, dd_vrep
+from conekit.linalg import dot, integerize, nullspace_basis, rank, row_space_basis
+from conekit.polycone import DimensionMismatch, RationalCone, _reduce_mod_rows, dd_vrep
 from conekit.quiverrep import (
     ConsistencyFailure,
     RepContext,
@@ -42,6 +42,7 @@ from engine_oracle import (
     brute_extreme_rays,
     brute_multisets,
     degenerates_properly_sparse,
+    dual_by_second_dd,
     hom_dominated_sparse,
     integerize_by_fractions,
     middle_terms_by_filter,
@@ -350,7 +351,7 @@ def test_wrong_hom_column_fails_the_cross_check(monkeypatch, capsys):
     assert result["error"] == "ConsistencyFailure"
 
 
-# -- double description against every square subsystem -----------------------
+# -- double description against every square subsystem and a second run -------
 
 
 @st.composite
@@ -366,7 +367,57 @@ def _pointed_cone(draw):
 @given(_pointed_cone())
 def test_dd_vrep_matches_brute_force_extreme_rays(problem):
     dim, forms = problem
-    assert dd_vrep(dim, forms) == (brute_extreme_rays(dim, forms), [])
+    rays, lineality, zero_sets = dd_vrep(dim, forms)
+    assert (rays, lineality) == (brute_extreme_rays(dim, forms), [])
+    assert zero_sets == [
+        sum(1 << i for i, f in enumerate(forms) if dot(f, r) == 0) for r in rays
+    ]
+
+
+def test_dd_vrep_rejects_a_form_of_the_wrong_length():
+    with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
+        dd_vrep(3, [(1, 0, 0), (1, 0)])
+
+
+@st.composite
+def _cone_vectors(draw):
+    """Dimension 1-5 and up to 9 vectors: some negated copies (implicit
+    equalities of an H-cone, lines of a V-cone), often lineality, and the
+    empty list."""
+    dim = draw(st.integers(1, 5))
+    vectors = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), max_size=7))
+    if vectors:
+        negated = draw(st.lists(st.sampled_from(vectors), max_size=2))
+        vectors += [tuple(-x for x in v) for v in negated]
+    return dim, vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cone_vectors(), st.booleans())
+def test_zero_set_dual_matches_second_dd(problem, by_generators):
+    dim, vectors = problem
+    if by_generators:
+        cone = RationalCone.from_generators(dim, vectors)
+        assert cone.vrep() == dual_by_second_dd(dim, *cone.dualrep())
+    else:
+        cone = RationalCone.from_inequalities(dim, vectors)
+        assert cone.dualrep() == dual_by_second_dd(dim, *cone.vrep())
+
+
+def test_one_dd_per_cone(monkeypatch):
+    calls = []
+
+    def counted(dim, forms):
+        calls.append(len(forms))
+        return dd_vrep(dim, forms)
+
+    monkeypatch.setattr(polycone, "dd_vrep", counted)
+    quiver = all_orientations(cartan_matrix("A", 6))[0]
+    conelab.check_conjecture(quiver, first_adapted_word(quiver))
+    assert len(calls) == 2  # the degree cone and the negative cone
+    calls.clear()
+    ktheory_cones(equioriented_a(4), staircase_word(4))
+    assert len(calls) == 3  # E, E at the next bound, D: each from generators
 
 
 # -- integer fast paths against the Fraction routes ---------------------------

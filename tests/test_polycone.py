@@ -66,11 +66,24 @@ def test_trivial_cone_has_no_interior_point():
 
 
 def test_dimension_mismatch():
+    """A sparse facet reads only its nonzero coordinates, so `violation`
+    checks the length up front, also for a cone with no facets at all."""
     with pytest.raises(DimensionMismatch):
         RationalCone.from_inequalities(3, [(1, 0)])
     cone = RationalCone.from_inequalities(2, [(1, 0)])
     with pytest.raises(DimensionMismatch):
         cone.contains_point((1, 0, 0))
+    plane = RationalCone.from_inequalities(2, [])
+    ray = RationalCone.from_inequalities(2, [(1, 0), (-1, 0), (0, 1)])
+    solid = RationalCone.from_inequalities(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    flat = RationalCone.from_inequalities(1, [(1,)])
+    for cone in (plane, ray):
+        for v in ((1,), (1, 0, 0)):
+            with pytest.raises(DimensionMismatch):
+                cone.violation(v)
+        for other in (solid, flat):
+            with pytest.raises(DimensionMismatch):
+                cone.missing_generator(other)
 
 
 def test_compare_verdicts():
@@ -118,6 +131,25 @@ def test_extremality_certificate_spots_simplicial():
         3, [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)]
     )
     assert not square.analyze().is_simplicial_mod_lineality
+
+
+def test_faces_below_a_facet_are_not_read_as_facets():
+    """The cone over the 4-cube, x0 >= |xi|, and its dual over the
+    4-cross-polytope, each with one redundant vector tight on a square
+    2-face of the cube cone. That face is proper but not a facet, so only
+    the maximality of the facets among the tight ray sets keeps the
+    redundant vector out."""
+    cube = [
+        tuple(1 if j == 0 else s * (j == i) for j in range(5))
+        for i in range(1, 5)
+        for s in (1, -1)
+    ]
+    h_cone = RationalCone.from_inequalities(5, cube + [(2, -1, -1, 0, 0)])
+    assert len(h_cone.rays) == 16
+    assert sorted(h_cone.facets) == sorted(cube)
+    v_cone = RationalCone.from_generators(5, cube + [(2, 1, 1, 0, 0)])
+    assert sorted(v_cone.rays) == sorted(cube)
+    assert len(v_cone.facets) == 16
 
 
 def test_normalize_form_primitive_sign():
