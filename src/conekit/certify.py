@@ -155,7 +155,9 @@ def criterion_containment() -> tuple[bool, dict]:
 
     Checked against the raw defining inequalities rather than through the
     cone comparison machinery, so a facet-enumeration bug cannot mask a
-    containment bug.
+    containment bug. `check_conjecture` (criterion 2) decides its verdict
+    from the defining forms and never expands the degree cone, so this is
+    where paper-check meets the degree cone's DD rays.
     """
     checked = 0
     ok = True

@@ -40,6 +40,15 @@ def integerize(v) -> IntVec:
     return primitive(tuple(int(f * mult) for f in fracs))
 
 
+def pack(v, width: int) -> int:
+    """The entries of v in one ``int``, width bits apiece: sum v_i 2^(width i).
+
+    The sum is exact for entries of either sign; field i reads back as v_i
+    only while every entry lies in [0, 2**width).
+    """
+    return sum(x << (width * i) for i, x in enumerate(v))
+
+
 def dot(a, b):
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")

@@ -10,6 +10,12 @@ pivoting, and every form evaluated on its nonzero coordinates only. The
 run keeps the set of forms tight on each ray, and the other side of the
 cone (its facets and span equations, or for a cone given by generators its
 rays and lineality) is read off those zero sets with no second run.
+
+Cones are compared from their defining forms. `contains` tests the forms
+of the containing cone (its given inequalities while it is unexpanded) on
+every generator of the other cone as a few packed integer sums, and skips
+the forms the other cone was given, so a cone given by inequalities runs
+its DD only when its rays or facets are read.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import json
 from dataclasses import dataclass
 from operator import itemgetter, mul
 
-from .linalg import integerize, primitive, row_space_basis
+from .linalg import integerize, pack, primitive, row_space_basis
 
 IntVec = tuple[int, ...]
 
@@ -342,9 +348,41 @@ class RationalCone:
         return self.violation(v) is None
 
     def contains(self, other: "RationalCone") -> bool:
+        """Whether `other` lies inside this cone, from this cone's H-side.
+
+        The forms are this cone's given inequalities while it is unexpanded,
+        else its facets and its span equations with their negations. A form
+        that is one of `other`'s given inequalities holds on `other` by
+        definition and is skipped; if none is left, neither cone expands.
+        The rest are tested on all of `other`'s generators g_j at once, as
+        packed sums in the guard-bit idiom of `quiverrep.bounded_multisets`:
+        column i packs coordinate i of every generator, one field each, at
+        a width one bit past the bit length of M = (max sum |f_i|) *
+        (max |g_j|). With `half` holding 2**(width-1) in every field, field j
+        of ``half + sum f_i col_i`` is 2**(width-1) + f . g_j, which lies in
+        [1, 2**width) since |f . g_j| <= M < 2**(width-1). So the sum is
+        exact with no carry between fields, and the top bit of field j is
+        set exactly when f . g_j >= 0.
+        """
         if other.dim != self.dim:
             raise DimensionMismatch("cones live in different spaces")
-        return self.missing_generator(other) is None
+        if self._ineqs is not None and self._dualrep is None:
+            forms = self._ineqs
+        else:
+            forms = with_lines(*self.dualrep())
+        given = set(other._ineqs or ())
+        forms = [f for f in forms if f not in given]
+        if not forms:
+            return True
+        gens = with_lines(*other.vrep())
+        largest = max((abs(x) for g in gens for x in g), default=0)
+        width = (max(sum(map(abs, f)) for f in forms) * largest).bit_length() + 1
+        half = pack([1 << (width - 1)] * len(gens), width)
+        cols = [pack(col, width) for col in zip(*gens)]
+        return all(
+            half + sum(x * col for x, col in zip(f, cols) if x) & half == half
+            for f in forms
+        )
 
     def compare(self, other: "RationalCone") -> str:
         """One of 'equal', 'a_subset_b', 'b_subset_a', 'incomparable'."""

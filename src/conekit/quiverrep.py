@@ -31,7 +31,7 @@ from math import lcm
 from operator import add, le, sub
 
 from . import rootsys
-from .linalg import dot, nullspace_basis, primitive, rank
+from .linalg import dot, nullspace_basis, pack, primitive, rank
 from .polycone import DimensionMismatch, RationalCone
 from .rootsys import (
     CapExceeded,
@@ -197,11 +197,6 @@ def enumerate_adapted_words(quiver: DynkinQuiver) -> list[Word]:
         quiver.cartan, "adapted words", quiver,
         lambda q: sorted(q.sinks()), DynkinQuiver.reflected,
     )
-
-
-def pack(v, width: int) -> int:
-    """The entries of v (each below 2**width) in one ``int``, width bits apiece."""
-    return sum(x << (width * i) for i, x in enumerate(v))
 
 
 def bounded_multisets(target, columns, exact: bool = True) -> list[tuple[int, ...]]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm
 
 RootVector = tuple[int, ...]
 Word = tuple[int, ...]
@@ -356,34 +356,33 @@ def longest_words(c: CartanMatrix, what: str, state, letters, advance):
     return out
 
 
-def _simple_chain(c: CartanMatrix) -> int:
-    """Nodes on the longest path of simple edges of the Coxeter graph, a forest."""
-    n, best = c.rank, 0
-    simple = {i: [j for j in range(1, n + 1) if c.a(i, j) == c.a(j, i) == -1]
-              for i in range(1, n + 1)}
-    for start in simple:
-        depth, seen, frontier = 0, {start}, [start]
-        while frontier:
-            depth += 1
-            frontier = [j for i in frontier for j in simple[i] if j not in seen]
-            seen.update(frontier)
-        best = max(best, depth)
-    return best
-
-
 def enumerate_reduced_words(c: CartanMatrix) -> list[Word]:
     """All reduced words of the longest element, in lexicographic order.
 
-    Raises CapExceeded as soon as the result would outgrow ``MAX_WORDS``, or
-    before the walk if a chain A_m of simple edges has more: w0 = w0(A_m) u
-    with lengths adding, and #red(w0(A_m)) counts staircase tableaux by
-    Stanley's hook lengths (768 for A_4, 292,864 for A_5).
+    Raises CapExceeded before the walk when there are more than
+    ``MAX_WORDS``. They are counted layer by layer of the weak order, each
+    w keyed by w(rho) in the basis of fundamental weights: s_i w is longer
+    than w exactly when coordinate i of w(rho) is positive, and s_i
+    subtracts that coordinate times column i of the Cartan matrix. Every
+    reduced word of w extends to one of w0, so a layer's total is a lower
+    bound on the count and the last layer's total is the count (768 for
+    A_4, 2,316 for D_4, 24,024 for B_4). The count stops at the first layer
+    past the cap, and a layer has no more elements than words, so it visits
+    at most N * ``MAX_WORDS`` of them.
     """
-    for m in range(1, _simple_chain(c) + 1):
-        hooks = prod((2 * (m - k) - 1) ** (k + 1) for k in range(m))
-        if factorial(m * (m + 1) // 2) // hooks > MAX_WORDS:
+    n = c.rank
+    layer = {(1,) * n: 1}
+    for _ in range(num_positive_roots(c)):
+        longer: dict[tuple[int, ...], int] = {}
+        for lam, words in layer.items():
+            for i, x in enumerate(lam):
+                if x > 0:
+                    key = tuple(y - x * row[i] for y, row in zip(lam, c.entries))
+                    longer[key] = longer.get(key, 0) + words
+        if sum(longer.values()) > MAX_WORDS:
             raise CapExceeded(f"more than {MAX_WORDS} reduced words")
-    letters = range(1, c.rank + 1)
+        layer = longer
+    letters = range(1, n + 1)
     return longest_words(
         c, "reduced words", None, lambda _: letters, lambda state, _: state
     )

@@ -190,7 +190,7 @@ def test_ktheory_bound_out_of_range_exits_one(capsys):
 
 
 def test_roots_words_rejects_large_types_up_front(capsys):
-    for name in ("E6", "E7", "E8"):
+    for name in ("D5", "F4", "E6", "E7", "E8"):
         start = time.perf_counter()
         code, out, err = _invoke(capsys, ["roots", "words", "--type", name])
         assert time.perf_counter() - start < 1

@@ -34,6 +34,7 @@ from conekit.quiverrep import (
 from conekit.rootsys import (
     CapExceeded,
     cartan_matrix,
+    langlands_dual,
     num_positive_roots,
     reflect_step,
     staircase_word,
@@ -412,12 +413,36 @@ def test_one_dd_per_cone(monkeypatch):
         return dd_vrep(dim, forms)
 
     monkeypatch.setattr(polycone, "dd_vrep", counted)
-    quiver = all_orientations(cartan_matrix("A", 6))[0]
-    conelab.check_conjecture(quiver, first_adapted_word(quiver))
-    assert len(calls) == 2  # the degree cone and the negative cone
+    a6 = cartan_matrix("A", 6)
+    quiver = all_orientations(a6)[0]
+    report = conelab.check_conjecture(quiver, first_adapted_word(quiver))
+    # The verdict needs only the negative cone's DD, over its N - n forms;
+    # the degree cone expands when its rays are first read.
+    assert report.verdict == "equal"
+    assert calls == [num_positive_roots(a6) - a6.rank]
+    assert report.degree_cone._vrep is None
+    report.to_dict()
+    assert len(calls) == 2
     calls.clear()
     ktheory_cones(equioriented_a(4), staircase_word(4))
     assert len(calls) == 3  # E, E at the next bound, D: each from generators
+
+
+@pytest.mark.parametrize("family, rank", [("A", 6), ("D", 5)])
+def test_negative_cone_contains_degree_cone_without_dd(monkeypatch, family, rank):
+    # Each negative-cone form is the mesh term of its tight pair, so it is
+    # one of the degree cone's own forms and holds there by definition.
+    quiver = all_orientations(cartan_matrix(family, rank))[0]
+    word = first_adapted_word(quiver)
+    d_cone = conelab.degree_cone(quiver, word)
+    l_cone = conelab.negative_tight_cone(langlands_dual(quiver.cartan), word)
+    assert set(l_cone.inequalities) <= set(d_cone.inequalities)
+
+    def no_dd(dim, forms):
+        raise AssertionError("contains expanded a cone")
+
+    monkeypatch.setattr(polycone, "dd_vrep", no_dd)
+    assert l_cone.contains(d_cone)
 
 
 # -- integer fast paths against the Fraction routes ---------------------------

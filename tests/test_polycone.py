@@ -240,3 +240,74 @@ def test_witness_builders_pinned():
     lineality_only = {"note": "cones differ only in lineality"}
     assert _containment_witness(halfplane, orthant) == lineality_only
     assert _containment_witness(orthant, halfplane) == lineality_only
+
+
+# -- containment from the defining forms against the witness search ----------
+
+_ENTRY = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+
+
+@st.composite
+def _cone_pairs(draw):
+    """Two cone specifications (by_generators, vectors) in one dimension.
+
+    A negated copy makes an equality of an H-cone or a line of a V-cone;
+    empty lists give the whole space and the zero cone. The second cone is
+    drawn at random, or generated by nonnegative combinations (and any
+    combinations of lines) of the first cone's generators, or cut from the
+    first cone's given forms by more forms; entries reach 10^6 either way.
+    """
+    dim = draw(st.integers(1, 4))
+    vec = st.tuples(*[_ENTRY] * dim)
+
+    def spec():
+        vectors = draw(st.lists(vec, max_size=5))
+        if vectors:
+            negated = draw(st.lists(st.sampled_from(vectors), max_size=2))
+            vectors += [tuple(-x for x in v) for v in negated]
+        return draw(st.booleans()), vectors
+
+    first = spec()
+    how = draw(st.sampled_from(["random", "inside", "more_forms"]))
+    if how == "random":
+        return dim, first, spec()
+    if how == "more_forms":
+        by_generators, vectors = first
+        forms = list(_build(dim, first).inequalities) if by_generators else vectors
+        return dim, first, (False, forms + draw(st.lists(vec, max_size=3)))
+    rays, lines = _build(dim, first).vrep()
+    gens = []
+    for _ in range(draw(st.integers(0, 4))):
+        g = [0] * dim
+        for r in rays:
+            c = draw(st.integers(0, 10**6))
+            g = [x + c * y for x, y in zip(g, r)]
+        for l in lines:
+            c = draw(st.integers(-10**6, 10**6))
+            g = [x + c * y for x, y in zip(g, l)]
+        gens.append(tuple(g))
+    by_generators = draw(st.booleans())
+    if not by_generators:
+        gens = list(_build(dim, (True, gens)).inequalities)
+    return dim, first, (by_generators, gens)
+
+
+def _build(dim, spec):
+    by_generators, vectors = spec
+    if by_generators:
+        return RationalCone.from_generators(dim, vectors)
+    return RationalCone.from_inequalities(dim, vectors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cone_pairs(), st.booleans(), st.booleans())
+def test_contains_matches_witness_search(problem, expand_self, expand_other):
+    dim, a, b = problem
+    big, small = _build(dim, a), _build(dim, b)
+    if expand_self:
+        big.vrep()
+    if expand_other:
+        small.vrep()
+    expected = _build(dim, a).missing_generator(_build(dim, b)) is None
+    assert big.contains(small) == expected
+

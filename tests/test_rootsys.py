@@ -132,23 +132,33 @@ def test_enumeration_cap(monkeypatch):
 
 
 def test_staircase_bound_is_exact_in_type_a(monkeypatch):
-    # In type A the chain is the whole diagram, so the bound is the count.
+    # The layer count before the walk is exact: at a cap equal to the count
+    # the walk runs, one below it rejects with no walk. D4 and B4 stub the
+    # walk (B4 takes seconds), which the count must reach.
     monkeypatch.setattr(rootsys, "MAX_WORDS", 16)
     assert len(enumerate_reduced_words(A3)) == 16
     monkeypatch.setattr(rootsys, "MAX_WORDS", 15)
     monkeypatch.setattr(rootsys, "longest_words", None)  # never reached
     with pytest.raises(CapExceeded, match="more than 15 reduced words"):
         enumerate_reduced_words(A3)
+    for name, count in (("D4", 2316), ("B4", 24024)):
+        monkeypatch.setattr(rootsys, "MAX_WORDS", count)
+        monkeypatch.setattr(rootsys, "longest_words", lambda *args: ["walked"])
+        assert enumerate_reduced_words(parse_type(name)) == ["walked"]
+        monkeypatch.setattr(rootsys, "MAX_WORDS", count - 1)
+        monkeypatch.setattr(rootsys, "longest_words", None)
+        with pytest.raises(CapExceeded, match=f"more than {count - 1} reduced words"):
+            enumerate_reduced_words(parse_type(name))
 
 
 @pytest.mark.parametrize(
     "name, up_front",
-    [("A4", False), ("D5", False), ("F4", False), ("A5", True), ("D6", True),
+    [("A4", False), ("D5", True), ("F4", True), ("A5", True), ("D6", True),
      ("E6", True), ("E7", True), ("E8", True)],
 )
 def test_reduced_word_cap_before_the_walk(monkeypatch, name, up_front):
-    # A5 alone has 292,864 reduced words of w0, past the cap; a chain of
-    # four simple edges or fewer (768 for A4) leaves the verdict to the walk.
+    # A4 has 768 reduced words of w0, so the walk runs; D5 (12,985,968),
+    # F4 (2,144,892) and the larger types pass the cap within the count.
     walks = []
     monkeypatch.setattr(rootsys, "longest_words", lambda *args: walks.append(args) or [])
     if up_front:
