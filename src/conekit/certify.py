@@ -62,10 +62,6 @@ from .tropflag import (
 )
 
 
-def _d4_center_quiver() -> DynkinQuiver:
-    return quiver_from_arrows(4, ((1, 2), (3, 2), (4, 2)))
-
-
 @lru_cache(maxsize=None)
 def _conjecture_cases() -> tuple[tuple[DynkinQuiver, tuple[int, ...]], ...]:
     """All adapted words of every A3 orientation, equioriented A4, one D4.
@@ -79,8 +75,9 @@ def _conjecture_cases() -> tuple[tuple[DynkinQuiver, tuple[int, ...]], ...]:
     a4 = equioriented_a(4)
     for word in enumerate_adapted_words(a4):
         cases.append((a4, word))
-    d4 = _d4_center_quiver()
-    cases.append((d4, enumerate_adapted_words(d4)[0]))
+    # the first adapted word of the D4 center quiver; RepContext re-checks it
+    d4 = quiver_from_arrows(4, ((1, 2), (3, 2), (4, 2)))
+    cases.append((d4, (2, 1, 3, 4) * 3))
     return tuple(cases)
 
 
@@ -323,22 +320,18 @@ def criterion_ktheory_duality() -> tuple[bool, dict]:
 def criterion_superfluous() -> tuple[bool, dict]:
     """Relaxed vs oracle middle terms compared on every positive-Ext pair.
 
-    A counterexample is a finding to report, not a failure; the criterion
-    fails only if a comparison could not be carried out.
+    A counterexample is a finding to report, not a failure. A comparison
+    that cannot be carried out raises ConsistencyFailure (exit 2).
     """
     total_pairs = 0
     counterexamples = []
-    ok = True
     cases = [(equioriented_a(2), w) for w in enumerate_adapted_words(equioriented_a(2))]
     cases += _conjecture_cases()
     for quiver, word in cases:
         report = check_superfluous_conjecture(quiver, word)
-        if "agreement" not in report or "pairs_checked" not in report:
-            ok = False
-            continue
         total_pairs += report["pairs_checked"]
         counterexamples.extend(report["counterexamples"])
-    return ok, {
+    return True, {
         "cases": len(cases),
         "pairs_checked": total_pairs,
         "counterexamples": counterexamples,

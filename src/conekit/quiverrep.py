@@ -12,15 +12,14 @@ One capped walk, `_fillings`, enumerates modules: middle-term fillings, and
 through `bounded_multisets` the K-theory modules of bounded height. It
 walks on packed integers, one guarded bit field per coordinate, some
 fields exact and the others upper bounds. An exact walk drops a
-remainder once a nonzero exact field has no later column to lower it, or
-once it has come up empty from the same column on. A `RepContext` packs
-each root once, its dimension vector and then its Hom column
-([U_z, U_t])_z, at one width sized from the highest root: oracle middle
-terms walk that table with the Hom fields as a budget, and each result is
-checked again by `degenerates_properly`, a packed sum at a width sized from
-its inputs. `hom_leq_strict`, the filter mode and the K-theory cones
-compare Hom dimensions by the same packed sums. Cone witnesses come from
-`RationalCone.missing_generator`.
+remainder once a nonzero exact field has no later column to lower it. A
+`RepContext` packs each root once, its dimension vector and then its Hom
+column ([U_z, U_t])_z, at one width sized from the highest root: oracle
+middle terms walk that table with the Hom fields as a budget, and each
+result is checked again by `degenerates_properly`, a packed sum at a width
+sized from its inputs. `hom_leq_strict`, the filter mode and the K-theory
+cones compare Hom dimensions by the same packed sums. Cone witnesses come
+from `RationalCone.missing_generator`.
 """
 
 from __future__ import annotations
@@ -214,8 +213,8 @@ def bounded_multisets(target, columns, exact: bool = True) -> list[tuple[int, ..
     every guard bit set borrows only inside a field, so a cleared guard bit
     means that coordinate went negative. A column that does not fit is
     passed over without a call. When exact, a remainder is dropped once a
-    nonzero field has no later column to lower it, or once it came up empty
-    from the same column on. Results come in lexicographic order.
+    nonzero field has no later column to lower it. Results come in
+    lexicographic order.
     """
     if any(x < 0 for x in target):
         return []
@@ -233,18 +232,21 @@ def _fillings(target: int, columns: list[int], places, size: int, width: int,
     position places[i] of a size-long result. Fields in `exact_fields` must
     reach 0, the others are budgets (`RepContext.middle_terms` puts its Hom
     fields there), and every column must be nonzero in some exact field;
-    0 means an inexact walk. Each column must fit the target once."""
+    0 means an inexact walk. Each column must fit the target once.
+
+    `stuck` is the only prune. A memo of exhausted remainders would never
+    hit on the Hom-budget walk: there the remainder carries the Hom vector
+    ([U_z, -])_z of the prefix chosen so far, and that table is
+    unitriangular in the directed order ([U_t, U_t] = 1, [U_z, U_t] = 0
+    for z > t), so no two prefixes leave the same remainder."""
     last = len(columns)
-    if exact_fields:
-        # stuck[idx] has every bit of each exact field that no column from
-        # idx on can lower
-        lsb, full = guard >> (width - 1), (1 << width) - 1
-        stuck = [exact_fields] * (last + 1)
-        for idx in range(last - 1, -1, -1):
-            nonzero = ((columns[idx] | guard) - lsb & guard) >> (width - 1)
-            stuck[idx] = stuck[idx + 1] & ~(nonzero * full)
-        # dead[idx]: remainders with no exact filling by the columns from idx on
-        dead: list[set[int]] = [set() for _ in range(last)]
+    # stuck[idx] has every bit of each exact field that no column from idx
+    # on can lower
+    lsb, full = guard >> (width - 1), (1 << width) - 1
+    stuck = [exact_fields] * (last + 1)
+    for idx in range(last - 1, -1, -1):
+        nonzero = ((columns[idx] | guard) - lsb & guard) >> (width - 1)
+        stuck[idx] = stuck[idx + 1] & ~(nonzero * full)
     filled = exact_fields or -1  # a remainder is done when these fields are 0
     out: list[tuple[int, ...]] = []
     chosen = [0] * size
@@ -263,15 +265,13 @@ def _fillings(target: int, columns: list[int], places, size: int, width: int,
                 if not exact_fields:
                     emit()
                 return
-            if exact_fields and (remaining & stuck[idx] or remaining in dead[idx]):
+            if remaining & stuck[idx]:
                 return
             col = columns[idx]
             if (remaining | guard) - col & guard == guard:
                 break
             idx += 1  # the column does not fit once: its coefficient is 0
         place = places[idx]
-        found = len(out)
-        start = remaining
         m = 0
         while True:
             chosen[place] = m
@@ -281,8 +281,6 @@ def _fillings(target: int, columns: list[int], places, size: int, width: int,
             remaining -= col
             m += 1
         chosen[place] = 0
-        if exact_fields and len(out) == found:
-            dead[idx].add(start)
 
     walk(0, target)
     return out

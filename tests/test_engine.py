@@ -324,6 +324,36 @@ def test_middle_terms_match_filtered_walk(family, rank):
             assert ctx.middle_terms(k, l) == middle_terms_by_filter(ctx, k, l)
 
 
+# The walks on the dimension fields only: pinned before the dead-remainder
+# memo left the filling walk. Per type: superfluous report digest, pairs,
+# relaxed, oracle and filter term totals, counterexamples.
+PINNED_SUPERFLUOUS = {
+    ("D", 6): ("64bbc7348ffb40b198d4066c753d78bb38d85c71de34b4771c79681e398a2fd8",
+               200, 260, 260, 260, 0),
+    ("E", 6): ("cf2110937913e4a63ef7c550cf6d1c2bc264a1aeab6ee9bd6ad044757d68df2e",
+               330, 532, 532, 532, 0),
+    ("E", 7): ("92b89cd7bd8a84220b9db0800e0c0e294235c95bb4d91b240bbbae666f8d6bf9",
+               1176, 2976, 2912, 2912, 64),
+}
+
+
+@pytest.mark.parametrize("family, rank", sorted(PINNED_SUPERFLUOUS))
+def test_dims_only_walks_pinned(family, rank):
+    quiver = all_orientations(cartan_matrix(family, rank))[0]
+    word = first_adapted_word(quiver)
+    report = quiverrep.check_superfluous_conjecture(quiver, word)
+    ctx = RepContext(quiver, word)
+    filtered = sum(len(ctx.middle_terms(k, l, mode="filter")) for k, l in ctx.ext_pairs())
+    assert (
+        _digest(report),
+        report["pairs_checked"],
+        sum(len(p["relaxed"]) for p in report["pairs"]),
+        sum(len(p["oracle"]) for p in report["pairs"]),
+        filtered,
+        len(report["counterexamples"]),
+    ) == PINNED_SUPERFLUOUS[family, rank]
+
+
 # D4 (1>2,2>3,2>4): with the Hom column of U_9 emptied, the walk lets
 # U_2 + U_9 through for (1, 10), which the cross-check must reject.
 D4_QUIVER, D4_WORD = "1>2,2>3,2>4", "3,4,2,1,3,4,2,1,3,4,2,1"
