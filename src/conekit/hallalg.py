@@ -1,9 +1,10 @@
 """Finite-field Hall algebra oracle for equioriented type A quivers.
 
-Structure constants come from one cached pass per ordered pair (V, W): the
-support is read off the extension classes of V by W, and each class in it
-gets one polynomial, fitted from counts over several prime fields and
-re-checked at one held-out prime. Each count is Riedtmann's formula
+Structure constants come from one cached pass per ordered pair (V, W), the
+only cache they pass through: the extension classes of V by W are read once
+per prime field, which gives the support, and each class in it gets one
+integer polynomial, fitted by Newton divided differences from its counts
+and re-checked at one held-out prime. Each count is Riedtmann's formula
 
     F^X_{V,W} = |Ext^1(V,W)_X| |Aut X| / (|Aut V| |Aut W| |Hom(V,W)|):
 
@@ -329,8 +330,7 @@ def _aut_order(m: Module, p: int) -> int:
     return order
 
 
-@lru_cache(maxsize=None)
-def _extension_classes(n: int, v: Module, w: Module, p: int) -> MappingProxyType:
+def _extension_classes(n: int, v: Module, w: Module, p: int) -> dict[Module, int]:
     """Histogram X -> |Ext^1(V,W)_X| of the extensions 0 -> W -> X -> V -> 0.
 
     A cocycle is a family of maps eta_i: V_i -> W_{i+1}, one per arrow; the
@@ -393,19 +393,12 @@ def _extension_classes(n: int, v: Module, w: Module, p: int) -> MappingProxyType
             for _ in range(k)
         )
         histogram[x] = histogram.get(x, 0) + 1
-    return MappingProxyType(histogram)  # cached, so shared read-only
+    return histogram
 
 
-@lru_cache(maxsize=None)
-def count_submodules(n: int, x: Module, w: Module, v: Module, p: int) -> int:
-    """Submodules of X isomorphic to W with quotient isomorphic to V, over F_p.
-
-    Riedtmann's formula:
-    F^X_{V,W} = |Ext^1(V,W)_X| |Aut X| / (|Aut V| |Aut W| |Hom(V,W)|).
-    """
-    classes = _extension_classes(n, v, w, p).get(x, 0)
-    if not classes:
-        return 0
+def _riedtmann(x: Module, v: Module, w: Module, p: int, classes: int) -> int:
+    """F^X_{V,W} over F_p from the number of extension classes with middle
+    term X: |Ext^1(V,W)_X| |Aut X| / (|Aut V| |Aut W| |Hom(V,W)|)."""
     count, rest = divmod(
         classes * _aut_order(x, p),
         _aut_order(v, p) * _aut_order(w, p) * p ** hom_dim(v, w),
@@ -416,6 +409,12 @@ def count_submodules(n: int, x: Module, w: Module, v: Module, p: int) -> int:
             f"over F_{p}: Riedtmann's quotient is not an integer"
         )
     return count
+
+
+@lru_cache(maxsize=None)
+def count_submodules(n: int, x: Module, w: Module, v: Module, p: int) -> int:
+    """Submodules of X isomorphic to W with quotient isomorphic to V, over F_p."""
+    return _riedtmann(x, v, w, p, _extension_classes(n, v, w, p).get(x, 0))
 
 
 @lru_cache(maxsize=None)
@@ -434,14 +433,16 @@ def _hall_polynomials(n: int, v: Module, w: Module) -> MappingProxyType:
     primes, held_out = PRIMES[:needed], PRIMES[needed - 1]
     # every histogram enumerates p^ext classes, so refuse before the first one
     _check_ext_classes(ext_dim(n, v, w), primes)
+    histograms = [_extension_classes(n, v, w, p) for p in primes]
     table = {}
-    for x in sorted(set().union(*(_extension_classes(n, v, w, p) for p in primes))):
-        counts = [count_submodules(n, x, w, v, p) for p in primes]
-        poly = table[x] = _lagrange(primes[:-1], counts[:-1])
-        if poly.evaluate(held_out) != counts[-1]:
+    for x in sorted(set().union(*histograms)):
+        counts = [_riedtmann(x, v, w, p, h.get(x, 0)) for p, h in zip(primes, histograms)]
+        poly = table[x] = _newton(primes[:-1], counts[:-1])
+        predicted = sum(c * held_out**e for e, c in poly.c.items())
+        if predicted != counts[-1]:
             raise InterpolationInconsistent(
                 f"H^{format_module(x)}_{{{format_module(v)},{format_module(w)}}}: "
-                f"fit predicts {poly.evaluate(held_out)} at p={held_out}, count is {counts[-1]}"
+                f"fit predicts {predicted} at p={held_out}, count is {counts[-1]}"
             )
     return MappingProxyType(table)  # cached, so shared read-only
 
@@ -455,30 +456,27 @@ def hall_polynomial(n: int, v: Module, w: Module, x: Module) -> LaurentPoly:
     return _hall_polynomials(n, v, w).get(x, LaurentPoly.zero())
 
 
-def _lagrange(xs, ys) -> LaurentPoly:
-    # Denominators must clear exactly: the counts come from a polynomial.
-    coeffs: dict[int, Fraction] = {}
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        basis = {0: Fraction(1)}
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            new: dict[int, Fraction] = {}
-            for e, c in basis.items():
-                new[e + 1] = new.get(e + 1, 0) + c
-                new[e] = new.get(e, 0) - c * xj
-            basis = new
-            denom *= xi - xj
-        for e, c in basis.items():
-            coeffs[e] = coeffs.get(e, Fraction(0)) + Fraction(yi) * c / denom
-    out = {}
-    for e, c in coeffs.items():
-        if c:
-            if c.denominator != 1:
+def _newton(xs, ys) -> LaurentPoly:
+    """The polynomial of degree < len(xs) through the integer points (x, y),
+    from Newton divided differences in integers. A remainder raises exactly
+    when the rational fit has a non-integer coefficient; otherwise both fits
+    are the same polynomial:
+    - divided differences of an integer polynomial at integer nodes are
+      integers (for q^k, complete homogeneous symmetric polynomials);
+    - the Newton basis prod_{j<i} (q - x_j) has integer coefficients.
+    """
+    diffs = list(ys)
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            diffs[i], rest = divmod(diffs[i] - diffs[i - 1], xs[i] - xs[i - k])
+            if rest:
                 raise InterpolationInconsistent("non-integer interpolated coefficient")
-            out[e] = int(c)
-    return LaurentPoly(out)
+    poly = [0]  # coefficients, constant term first
+    for x, d in zip(reversed(xs), reversed(diffs)):
+        # Horner on the Newton form: poly <- poly * (q - x) + d
+        poly = [a - x * b for a, b in zip([0] + poly, poly + [0])]
+        poly[0] += d
+    return LaurentPoly(dict(enumerate(poly)))
 
 
 # -- the twisted product and commutators -------------------------------------

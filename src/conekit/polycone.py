@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 from operator import itemgetter, mul
 
-from .linalg import integerize, pack, primitive, row_space_basis
+from .linalg import dot, integerize, pack, primitive, row_space_basis
 
 IntVec = tuple[int, ...]
 
@@ -214,7 +214,7 @@ class ConeProfile:
 class RationalCone:
     """A rational cone with lazily synchronized H- and V-representations."""
 
-    __slots__ = ("dim", "_ineqs", "_vrep", "_dualrep", "_evaluators")
+    __slots__ = ("dim", "_ineqs", "_vrep", "_dualrep")
 
     def __init__(self, dim: int, _ineqs=None, _vrep=None, _dualrep=None):
         if dim < 1:
@@ -223,7 +223,6 @@ class RationalCone:
         self._ineqs = _ineqs
         self._vrep = _vrep
         self._dualrep = _dualrep
-        self._evaluators = None
 
     @classmethod
     def from_inequalities(cls, dim: int, forms) -> "RationalCone":
@@ -322,16 +321,12 @@ class RationalCone:
         for the first span equation with e.v != 0, else None (v is inside)."""
         if len(v) != self.dim:
             raise DimensionMismatch(f"length mismatch: {len(v)} vs {self.dim}")
-        if self._evaluators is None:
-            self._evaluators = tuple(
-                [(f, _evaluator(f, self.dim)) for f in forms] for forms in self.dualrep()
-            )
-        facets, span_perp = self._evaluators
-        for f, value in facets:
-            if value(v) < 0:
+        facets, span_perp = self.dualrep()
+        for f in facets:
+            if dot(f, v) < 0:
                 return "form", f
-        for e, value in span_perp:
-            if value(v) != 0:
+        for e in span_perp:
+            if dot(e, v) != 0:
                 return "equation", e
         return None
 

@@ -58,11 +58,6 @@ class CartanMatrix:
         """Entry ``<alpha_j, alpha_i^vee>``, 1-based."""
         return self.entries[i - 1][j - 1]
 
-    def reflect(self, i: int, v: RootVector) -> RootVector:
-        """Apply the simple reflection s_i to a root-lattice vector."""
-        coeff = sum(self.entries[i - 1][j] * v[j] for j in range(self.rank))
-        return tuple(v[j] - coeff * (1 if j == i - 1 else 0) for j in range(self.rank))
-
 
 def _symmetrizers(entries) -> tuple[int, ...]:
     n = len(entries)
@@ -227,10 +222,6 @@ def sym_pairing(c: CartanMatrix, x: RootVector, y: RootVector) -> int:
     return sum(c.sym[i] * c.entries[i][j] * x[i] * y[j] for i in range(n) for j in range(n))
 
 
-def _simple_root(n: int, i: int) -> RootVector:
-    return tuple(1 if j == i - 1 else 0 for j in range(n))
-
-
 def _is_positive(v: RootVector) -> bool:
     return any(x > 0 for x in v) and all(x >= 0 for x in v)
 
@@ -306,20 +297,22 @@ def tight_pairs(word: Word) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=None)
 def positive_roots(c: CartanMatrix) -> tuple[RootVector, ...]:
-    """All positive roots, sorted by (height, coordinates)."""
-    n = c.rank
-    roots = {_simple_root(n, i) for i in range(1, n + 1)}
-    frontier = set(roots)
-    while frontier:
-        new = set()
-        for v in frontier:
-            for i in range(1, n + 1):
-                w = c.reflect(i, v)
-                if _is_positive(w) and w not in roots:
-                    new.add(w)
-        roots |= new
-        frontier = new
-    return tuple(sorted(roots, key=lambda v: (sum(v), v)))
+    """All positive roots, sorted by (height, coordinates).
+
+    They are the roots of any reduced word of w0, and a greedy walk finds
+    one: a letter whose root is positive lengthens the word, and only at w0
+    is no such letter left.
+    """
+    roots, m = [], _identity(c.rank)
+    while True:
+        for letter in range(1, c.rank + 1):
+            beta, m2 = reflect_step(c, m, letter)
+            if _is_positive(beta):
+                roots.append(beta)
+                m = m2
+                break
+        else:
+            return tuple(sorted(roots, key=lambda v: (sum(v), v)))
 
 
 def num_positive_roots(c: CartanMatrix) -> int:

@@ -5,11 +5,17 @@ representation X over F_p, keeps the tuples closed under the arrow maps,
 and classifies each submodule and its quotient by rank invariants. It is
 exponential in the dimensions, so it only serves tests at small scale,
 where it must agree exactly with `hallalg.count_submodules`.
+
+`fit_by_lagrange` is the rational Lagrange fit that `hallalg._newton`
+replaced, kept as the reference for that integer fit.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 
 from conekit.hallalg import (
+    InterpolationInconsistent,
+    LaurentPoly,
     _arrow_matrices,
     _composites,
     _mat_mul,
@@ -18,6 +24,33 @@ from conekit.hallalg import (
     dim_vector,
     module_multiplicities,
 )
+
+
+def fit_by_lagrange(xs, ys) -> LaurentPoly:
+    """The interpolating polynomial in rationals; raises
+    InterpolationInconsistent unless every coefficient is an integer."""
+    coeffs: dict[int, Fraction] = {}
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis = {0: Fraction(1)}
+        denom = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            new: dict[int, Fraction] = {}
+            for e, c in basis.items():
+                new[e + 1] = new.get(e + 1, 0) + c
+                new[e] = new.get(e, 0) - c * xj
+            basis = new
+            denom *= xi - xj
+        for e, c in basis.items():
+            coeffs[e] = coeffs.get(e, Fraction(0)) + Fraction(yi) * c / denom
+    out = {}
+    for e, c in coeffs.items():
+        if c:
+            if c.denominator != 1:
+                raise InterpolationInconsistent("non-integer interpolated coefficient")
+            out[e] = int(c)
+    return LaurentPoly(out)
 
 
 def _subspaces(d: int, e: int, p: int):

@@ -215,16 +215,23 @@ def test_hall_comm_rejects_undirected_pairs(capsys):
         assert err == f"conekit: error: {message}\n"
 
 
-def test_hall_ext_class_cap_rejects_before_counting(capsys):
+def test_hall_ext_class_cap_rejects_before_counting(capsys, monkeypatch):
     # Ext^1 has dimension 4, so 17 is the first listed prime past the cap;
-    # the guard must trip before the counts at p = 2..13 are made.
-    misses = hallalg.count_submodules.cache_info().misses
+    # the guard must trip before the classes at p = 2..13 are enumerated.
+    calls = []
+    enumerate_classes = hallalg._extension_classes
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_classes(*args)
+
+    monkeypatch.setattr(hallalg, "_extension_classes", counted)
     argv = ["hall", "prod", "--n", "2", "--m1", "1-1^2,2-2^2", "--m2", "1-1^2,2-2^2"]
     code, out, err = _invoke(capsys, argv)
     assert code == 1
     assert out == ""
     assert err == "conekit: error: 17^4 extension classes exceed the supported 50000\n"
-    assert hallalg.count_submodules.cache_info().misses == misses
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -8,12 +8,15 @@ each product already carries its own consistency check.
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conekit.hallalg import (
     PRIMES,
     HallElement,
+    InterpolationInconsistent,
     LaurentPoly,
     ScaleExceeded,
+    _newton,
     count_submodules,
     dim_vector,
     ext_dim,
@@ -36,7 +39,7 @@ from conekit.quiverrep import (
     equioriented_a,
     euler_form,
 )
-from hall_oracle import count_by_subspaces
+from hall_oracle import count_by_subspaces, fit_by_lagrange
 
 S1 = parse_module("1-1")
 S2 = parse_module("2-2")
@@ -337,3 +340,40 @@ def test_counts_agree_with_subspace_oracle(n, bound):
                 ), (x, w, v, p)
                 counts += 1
     assert counts == {(2, 4): 366, (3, 4): 1839, (4, 3): 714}[n, bound]
+
+
+def _values(coeffs, xs):
+    return [sum(c * x**e for e, c in enumerate(coeffs)) for x in xs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9))
+def test_newton_fit_recovers_integer_polynomials(coeffs):
+    """Degree <= 8, fitted at every prefix of PRIMES with enough nodes."""
+    want = LaurentPoly(dict(enumerate(coeffs)))
+    for k in range(len(coeffs), len(PRIMES) + 1):
+        assert _newton(PRIMES[:k], _values(coeffs, PRIMES[:k])) == want
+
+
+def _fit_or_raise(fit, xs, ys):
+    try:
+        return fit(xs, ys)
+    except InterpolationInconsistent as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_newton_fit_matches_lagrange_reference(data):
+    """On any integer data at distinct integer nodes, both fits raise or
+    both return the same polynomial; polynomial values with a sparse
+    perturbation reach both branches."""
+    xs = data.draw(st.lists(st.integers(-60, 60), min_size=1, max_size=10, unique=True))
+    if data.draw(st.booleans()):
+        ys = data.draw(st.lists(st.integers(-10**4, 10**4), min_size=len(xs), max_size=len(xs)))
+    else:
+        coeffs = data.draw(st.lists(st.integers(-100, 100), max_size=len(xs) + 1))
+        noise = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]),
+                                   min_size=len(xs), max_size=len(xs)))
+        ys = [y + e for y, e in zip(_values(coeffs, xs), noise)]
+    assert _fit_or_raise(_newton, xs, ys) == _fit_or_raise(fit_by_lagrange, xs, ys)
