@@ -11,11 +11,12 @@ run keeps the set of forms tight on each ray, and the other side of the
 cone (its facets and span equations, or for a cone given by generators its
 rays and lineality) is read off those zero sets with no second run.
 
-Cones are compared from their defining forms. `contains` tests the forms
-of the containing cone (its given inequalities while it is unexpanded) on
-every generator of the other cone as a few packed integer sums, and skips
-the forms the other cone was given, so a cone given by inequalities runs
-its DD only when its rays or facets are read.
+A cone keeps the side it was given, inequalities or generators, and runs
+that DD only when its other side is first read; `dual` swaps the sides and
+runs none. Cones are compared from their defining forms: `contains` tests
+the inequalities of the containing cone, less the forms the other cone was
+given, on the other cone's given generators (its rays and lines if it was
+given by inequalities) as a few packed integer sums.
 """
 
 from __future__ import annotations
@@ -211,56 +212,50 @@ class ConeProfile:
     is_simplicial_mod_lineality: bool
 
 
+def _normalized(dim: int, vectors, kind: str) -> tuple[IntVec, ...]:
+    """The distinct nonzero vectors, each made primitive, sorted."""
+    out = set()
+    for v in vectors:
+        if len(v) != dim:
+            raise DimensionMismatch(f"{kind} {v} does not have length {dim}")
+        v = normalize_form(v, allow_zero=True)
+        if any(v):
+            out.add(v)
+    return tuple(sorted(out))
+
+
 class RationalCone:
-    """A rational cone with lazily synchronized H- and V-representations."""
+    """A rational cone that keeps the side it was given, forms `_ineqs` or
+    generators `_gens`; one DD fills in `_vrep` and `_dualrep` on demand."""
 
-    __slots__ = ("dim", "_ineqs", "_vrep", "_dualrep")
+    __slots__ = ("dim", "_ineqs", "_gens", "_vrep", "_dualrep")
 
-    def __init__(self, dim: int, _ineqs=None, _vrep=None, _dualrep=None):
+    def __init__(self, dim: int, _ineqs=None, _gens=None, _vrep=None, _dualrep=None):
         if dim < 1:
             raise ValueError("ambient dimension must be >= 1")
         self.dim = dim
         self._ineqs = _ineqs
+        self._gens = _gens
         self._vrep = _vrep
         self._dualrep = _dualrep
 
     @classmethod
     def from_inequalities(cls, dim: int, forms) -> "RationalCone":
-        normalized = []
-        for f in forms:
-            if len(f) != dim:
-                raise DimensionMismatch(f"form {f} does not have length {dim}")
-            v = normalize_form(f, allow_zero=True)
-            if any(v):
-                normalized.append(v)
-        return cls(dim, _ineqs=tuple(sorted(set(normalized))))
+        return cls(dim, _ineqs=_normalized(dim, forms, "form"))
 
     @classmethod
     def from_generators(cls, dim: int, rays, lineality=()) -> "RationalCone":
-        gens = []
-        for r in with_lines(rays, lineality):
-            if len(r) != dim:
-                raise DimensionMismatch(f"generator {r} does not have length {dim}")
-            v = normalize_form(r, allow_zero=True)
-            if any(v):
-                gens.append(v)
-        # Generators of the cone are inequality forms of its dual.
-        dualrep, vrep = _both_sides(dim, sorted(set(gens)))
-        return cls(dim, _vrep=vrep, _dualrep=dualrep)
+        return cls(dim, _gens=_normalized(dim, with_lines(rays, lineality), "generator"))
 
     # -- representations ---------------------------------------------------
 
     def _expand(self) -> None:
-        """Fill in whichever representation is missing.
-
-        A cone given by inequalities gets both sides from one DD over them;
-        a cone given by its rays and lineality only gets its facets and span
-        equations from one DD over those generators.
-        """
+        """Both V-representations from one DD over the given side (the
+        generators of a cone are inequality forms of its dual)."""
         if self._ineqs is not None:
             self._vrep, self._dualrep = _both_sides(self.dim, list(self._ineqs))
         else:
-            self._dualrep, self._vrep = _both_sides(self.dim, with_lines(*self._vrep))
+            self._dualrep, self._vrep = _both_sides(self.dim, list(self._gens))
 
     def vrep(self) -> tuple[list[IntVec], list[IntVec]]:
         if self._vrep is None:
@@ -291,6 +286,7 @@ class RationalCone:
 
     @property
     def inequalities(self) -> tuple[IntVec, ...]:
+        """The given forms, else the facets and span equations both ways."""
         if self._ineqs is not None:
             return self._ineqs
         return tuple(sorted(set(with_lines(*self.dualrep()))))
@@ -310,9 +306,9 @@ class RationalCone:
         )
 
     def dual(self) -> "RationalCone":
-        vrep = self.vrep()
-        dualrep = self.dualrep()
-        return RationalCone(self.dim, _vrep=dualrep, _dualrep=vrep)
+        """The dual cone, with no DD: the given forms and generators trade
+        places, and so do the V-sides if they were read."""
+        return RationalCone(self.dim, self._gens, self._ineqs, self._dualrep, self._vrep)
 
     # -- point and cone queries ---------------------------------------------
 
@@ -343,33 +339,28 @@ class RationalCone:
         return self.violation(v) is None
 
     def contains(self, other: "RationalCone") -> bool:
-        """Whether `other` lies inside this cone, from this cone's H-side.
+        """Whether `other` lies inside this cone, from this cone's forms.
 
-        The forms are this cone's given inequalities while it is unexpanded,
-        else its facets and its span equations with their negations. A form
-        that is one of `other`'s given inequalities holds on `other` by
-        definition and is skipped; if none is left, neither cone expands.
-        The rest are tested on all of `other`'s generators g_j at once, as
-        packed sums in the guard-bit idiom of `quiverrep.bounded_multisets`:
-        column i packs coordinate i of every generator, one field each, at
-        a width one bit past the bit length of M = (max sum |f_i|) *
-        (max |g_j|). With `half` holding 2**(width-1) in every field, field j
-        of ``half + sum f_i col_i`` is 2**(width-1) + f . g_j, which lies in
-        [1, 2**width) since |f . g_j| <= M < 2**(width-1). So the sum is
-        exact with no carry between fields, and the top bit of field j is
-        set exactly when f . g_j >= 0.
+        The forms are `inequalities`, less those `other` was given (they
+        hold there by definition); if none is left, neither cone expands.
+        They are tested on `other`'s given generators, or on its rays and
+        lines if it was given by forms, as packed sums in the guard-bit
+        idiom of `quiverrep.bounded_multisets`: column i packs coordinate i
+        of every generator, one field each, at a width one bit past the bit
+        length of M = (max sum |f_i|) * (max |g_j|). With `half` holding
+        2**(width-1) in every field, field j of ``half + sum f_i col_i`` is
+        2**(width-1) + f . g_j, which lies in [1, 2**width) since
+        |f . g_j| <= M < 2**(width-1). So the sum is exact with no carry
+        between fields, and the top bit of field j is set exactly when
+        f . g_j >= 0.
         """
         if other.dim != self.dim:
             raise DimensionMismatch("cones live in different spaces")
-        if self._ineqs is not None and self._dualrep is None:
-            forms = self._ineqs
-        else:
-            forms = with_lines(*self.dualrep())
         given = set(other._ineqs or ())
-        forms = [f for f in forms if f not in given]
+        forms = [f for f in self.inequalities if f not in given]
         if not forms:
             return True
-        gens = with_lines(*other.vrep())
+        gens = other._gens if other._gens is not None else with_lines(*other.vrep())
         largest = max((abs(x) for g in gens for x in g), default=0)
         width = (max(sum(map(abs, f)) for f in forms) * largest).bit_length() + 1
         half = pack([1 << (width - 1)] * len(gens), width)
@@ -418,12 +409,11 @@ class RationalCone:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def __repr__(self) -> str:
-        state = []
-        if self._ineqs is not None:
-            state.append(f"{len(self._ineqs)} ineqs")
+        kind, given = ("ineqs", self._ineqs) if self._gens is None else ("gens", self._gens)
+        state = [f"{len(given)} {kind}"]
         if self._vrep is not None:
             state.append(f"{len(self._vrep[0])} rays, lin {len(self._vrep[1])}")
-        return f"RationalCone(dim={self.dim}, {'; '.join(state) or 'lazy'})"
+        return f"RationalCone(dim={self.dim}, {'; '.join(state)})"
 
 
 def cone_from_inequalities(m: int, forms) -> RationalCone:

@@ -118,7 +118,7 @@ def test_json_roundtrip():
     again = RationalCone.from_inequalities(data["dim"], data["ineqs"])
     rays, lineality = ([tuple(v) for v in data[key]] for key in ("rays", "lineality"))
     assert again.same_cone(cone)
-    assert RationalCone(data["dim"], _vrep=(rays, lineality)).same_cone(cone)
+    assert RationalCone.from_generators(data["dim"], rays, lineality).same_cone(cone)
     assert again.analyze() == cone.analyze()
 
 
@@ -292,18 +292,28 @@ def _cone_pairs(draw):
     return dim, first, (by_generators, gens)
 
 
-def _build(dim, spec):
+def _build(dim, spec, how="direct"):
+    """The cone of spec, or the dual of the cone of the other kind over the
+    same vectors, taken before or after that cone expands."""
     by_generators, vectors = spec
-    if by_generators:
-        return RationalCone.from_generators(dim, vectors)
-    return RationalCone.from_inequalities(dim, vectors)
+    if how == "direct":
+        if by_generators:
+            return RationalCone.from_generators(dim, vectors)
+        return RationalCone.from_inequalities(dim, vectors)
+    cone = _build(dim, (not by_generators, vectors))
+    if how == "dual_of_expanded":
+        cone.vrep()
+    return cone.dual()
+
+
+_HOW = st.sampled_from(["direct", "dual", "dual_of_expanded"])
 
 
 @settings(max_examples=300, deadline=None)
-@given(_cone_pairs(), st.booleans(), st.booleans())
-def test_contains_matches_witness_search(problem, expand_self, expand_other):
+@given(_cone_pairs(), st.booleans(), st.booleans(), _HOW, _HOW)
+def test_contains_matches_witness_search(problem, expand_self, expand_other, how_a, how_b):
     dim, a, b = problem
-    big, small = _build(dim, a), _build(dim, b)
+    big, small = _build(dim, a, how_a), _build(dim, b, how_b)
     if expand_self:
         big.vrep()
     if expand_other:
