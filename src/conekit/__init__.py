@@ -24,14 +24,12 @@ from .rootsys import (
     parse_type,
     positive_roots,
     staircase_word,
-    sym_pairing,
 )
 from .polycone import (
     ConeProfile,
     DimensionMismatch,
     RationalCone,
     ZeroCone,
-    cone_from_inequalities,
 )
 from .quiverrep import (
     ConsistencyFailure,
@@ -40,7 +38,6 @@ from .quiverrep import (
     NotSimplyLaced,
     RepContext,
     all_orientations,
-    ar_quiver,
     check_superfluous_conjecture,
     enumerate_adapted_words,
     equioriented_a,

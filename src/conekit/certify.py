@@ -293,7 +293,9 @@ def criterion_root_sums() -> tuple[bool, dict]:
 
 
 def criterion_ktheory_duality() -> tuple[bool, dict]:
-    """Extension cone equals the dual Hom-functional cone, stably."""
+    """Extension cone equals the dual Hom-functional cone at the default
+    bound b, and the cone at b + 1 equals the one at b (`stabilized`, which
+    compares only these two bounds)."""
     reports = {}
     ok = True
     for rank in (2, 3):

@@ -18,7 +18,6 @@ counter as an independent oracle for these counts.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
@@ -107,10 +106,6 @@ class LaurentPoly:
     def subst_square(self) -> "LaurentPoly":
         """q -> q^2."""
         return LaurentPoly({2 * e: v for e, v in self.c.items()})
-
-    def evaluate(self, x) -> Fraction:
-        return sum((Fraction(v) * Fraction(x) ** e for e, v in self.c.items()),
-                   Fraction(0))
 
     def to_dict(self) -> dict:
         return {str(e): v for e, v in sorted(self.c.items())}

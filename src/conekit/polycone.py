@@ -21,7 +21,6 @@ given by inequalities) as a few packed integer sums.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from operator import itemgetter, mul
 
@@ -281,10 +280,6 @@ class RationalCone:
         return tuple(self.dualrep()[0])
 
     @property
-    def span_equations(self) -> tuple[IntVec, ...]:
-        return tuple(self.dualrep()[1])
-
-    @property
     def inequalities(self) -> tuple[IntVec, ...]:
         """The given forms, else the facets and span equations both ways."""
         if self._ineqs is not None:
@@ -335,9 +330,6 @@ class RationalCone:
                 return g, found
         return None
 
-    def contains_point(self, v) -> bool:
-        return self.violation(v) is None
-
     def contains(self, other: "RationalCone") -> bool:
         """Whether `other` lies inside this cone, from this cone's forms.
 
@@ -370,20 +362,8 @@ class RationalCone:
             for f in forms
         )
 
-    def compare(self, other: "RationalCone") -> str:
-        """One of 'equal', 'a_subset_b', 'b_subset_a', 'incomparable'."""
-        ab = other.contains(self)
-        ba = self.contains(other)
-        if ab and ba:
-            return "equal"
-        if ab:
-            return "a_subset_b"
-        if ba:
-            return "b_subset_a"
-        return "incomparable"
-
     def same_cone(self, other: "RationalCone") -> bool:
-        return self.compare(other) == "equal"
+        return other.contains(self) and self.contains(other)
 
     def interior_point(self) -> IntVec:
         """A point in the relative interior (strict on every facet)."""
@@ -405,18 +385,9 @@ class RationalCone:
             "lineality": [list(l) for l in lin],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     def __repr__(self) -> str:
         kind, given = ("ineqs", self._ineqs) if self._gens is None else ("gens", self._gens)
         state = [f"{len(given)} {kind}"]
         if self._vrep is not None:
             state.append(f"{len(self._vrep[0])} rays, lin {len(self._vrep[1])}")
         return f"RationalCone(dim={self.dim}, {'; '.join(state)})"
-
-
-def cone_from_inequalities(m: int, forms) -> RationalCone:
-    """Cone {x : f . x >= 0 for all f} in dimension m."""
-    return RationalCone.from_inequalities(m, forms)
-

@@ -201,8 +201,9 @@ def enumerate_adapted_words(quiver: DynkinQuiver) -> list[Word]:
 def bounded_multisets(target, columns, exact: bool = True) -> list[tuple[int, ...]]:
     """Every n >= 0 with sum_t n_t col_t <= target, or == target when exact.
 
-    Columns are nonnegative and nonzero; one that does not fit the target
-    once gets n_t = 0. Raises CapExceeded past MAX_MULTISETS results.
+    Columns must be as long as the target (else DimensionMismatch),
+    nonnegative and nonzero (else ValueError); one that does not fit the
+    target once gets n_t = 0. Raises CapExceeded past MAX_MULTISETS results.
 
     >>> bounded_multisets((2, 1), [(1, 0), (0, 1), (1, 1)])
     [(1, 0, 1), (2, 1, 0)]
@@ -216,6 +217,10 @@ def bounded_multisets(target, columns, exact: bool = True) -> list[tuple[int, ..
     nonzero field has no later column to lower it. Results come in
     lexicographic order.
     """
+    if any(len(col) != len(target) for col in columns):
+        raise DimensionMismatch(f"every column must have length {len(target)}")
+    if any(not any(col) or min(col) < 0 for col in columns):
+        raise ValueError("columns must be nonnegative and nonzero")
     if any(x < 0 for x in target):
         return []
     fits = [t for t, col in enumerate(columns) if all(map(le, col, target))]
@@ -367,6 +372,8 @@ class RepContext:
         return tuple(1 if t == k - 1 else 0 for t in range(self.N))
 
     def dim_vector(self, m) -> tuple[int, ...]:
+        if len(m) != self.N:
+            raise DimensionMismatch(f"length mismatch: {len(m)} vs {self.N}")
         out = [0] * self.n
         for mk, beta in zip(m, self.betas):
             if mk:
@@ -694,11 +701,6 @@ def _containment_witness(a: RationalCone, b: RationalCone) -> dict:
         if found is not None and found[0] in small.rays:
             return {"ray_of": ray_of, "ray": list(found[0])}
     return {"note": "cones differ only in lineality"}
-
-
-def ar_quiver(quiver: DynkinQuiver, word) -> RepContext:
-    """The mesh structure of an adapted word: arrows, translation, order."""
-    return RepContext(quiver, word)
 
 
 def check_superfluous_conjecture(quiver: DynkinQuiver, word) -> dict:

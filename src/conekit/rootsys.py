@@ -209,19 +209,6 @@ def langlands_dual(c: CartanMatrix) -> CartanMatrix:
     return cartan_from_entries(entries, label)
 
 
-def sym_pairing(c: CartanMatrix, x: RootVector, y: RootVector) -> int:
-    """The W-invariant symmetric form, ``(alpha_i, alpha_i) = 2 d_i``.
-
-    >>> g2 = cartan_matrix("G", 2)
-    >>> sym_pairing(g2, (1, 0), (1, 0))
-    6
-    """
-    n = c.rank
-    if len(x) != n or len(y) != n:
-        raise ValueError("vector length does not match the rank")
-    return sum(c.sym[i] * c.entries[i][j] * x[i] * y[j] for i in range(n) for j in range(n))
-
-
 def _is_positive(v: RootVector) -> bool:
     return any(x > 0 for x in v) and all(x >= 0 for x in v)
 

@@ -55,13 +55,6 @@ def subset_label(s: Subset) -> str:
     return "".join(str(i) for i in s)
 
 
-def parse_subset(text: str) -> Subset:
-    out = tuple(sorted(int(ch) for ch in text.strip()))
-    if len(set(out)) != len(out) or not out or out[0] < 1:
-        raise ValueError(f"bad subset {text!r}")
-    return out
-
-
 def all_subsets(n: int) -> list[Subset]:
     """S: proper nonempty subsets of [n], graded then lexicographic."""
     out = []

@@ -10,7 +10,6 @@ from conekit.polycone import (
     DimensionMismatch,
     RationalCone,
     ZeroCone,
-    cone_from_inequalities,
     normalize_form,
 )
 
@@ -53,8 +52,8 @@ def test_halfspace_has_lineality():
     prof = cone.analyze()
     assert prof.lineality_dim == 2
     assert prof.ray_count == 1
-    assert cone.contains_point((1, 1, 1))
-    assert not cone.contains_point((0, 1, 0))
+    assert cone.violation((1, 1, 1)) is None
+    assert cone.violation((0, 1, 0)) is not None
 
 
 def test_trivial_cone_has_no_interior_point():
@@ -72,7 +71,7 @@ def test_dimension_mismatch():
         RationalCone.from_inequalities(3, [(1, 0)])
     cone = RationalCone.from_inequalities(2, [(1, 0)])
     with pytest.raises(DimensionMismatch):
-        cone.contains_point((1, 0, 0))
+        cone.violation((1, 0, 0))
     plane = RationalCone.from_inequalities(2, [])
     ray = RationalCone.from_inequalities(2, [(1, 0), (-1, 0), (0, 1)])
     solid = RationalCone.from_inequalities(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -89,9 +88,9 @@ def test_dimension_mismatch():
 def test_compare_verdicts():
     quadrant = RationalCone.from_inequalities(2, [(1, 0), (0, 1)])
     half = RationalCone.from_inequalities(2, [(1, 0)])
-    assert quadrant.compare(half) == "a_subset_b"
-    assert half.compare(quadrant) == "b_subset_a"
-    assert quadrant.compare(quadrant) == "equal"
+    assert half.contains(quadrant)
+    assert not quadrant.contains(half)
+    assert quadrant.contains(quadrant)
     assert quadrant.same_cone(quadrant)
     assert not quadrant.same_cone(half)
 
@@ -113,8 +112,8 @@ def test_rational_inequalities_are_integerized():
 
 
 def test_json_roundtrip():
-    cone = cone_from_inequalities(3, [(1, -1, 1), (0, 1, 0)])
-    data = json.loads(cone.to_json())
+    cone = RationalCone.from_inequalities(3, [(1, -1, 1), (0, 1, 0)])
+    data = json.loads(json.dumps(cone.to_dict(), sort_keys=True))
     again = RationalCone.from_inequalities(data["dim"], data["ineqs"])
     rays, lineality = ([tuple(v) for v in data[key]] for key in ("rays", "lineality"))
     assert again.same_cone(cone)
@@ -190,7 +189,7 @@ def test_interior_point_is_interior(forms):
     except ZeroCone:
         assert cone.rays == () and cone.lineality == ()
         return
-    assert cone.contains_point(point)
+    assert cone.violation(point) is None
     # strict on every facet of the cone itself
     for f in cone.facets:
         assert sum(f[i] * point[i] for i in range(3)) > 0
@@ -208,7 +207,7 @@ def test_vrep_hrep_agree_on_membership(rays):
     cone = RationalCone.from_generators(3, rays)
     hrep = RationalCone.from_inequalities(3, cone.inequalities)
     for r in rays:
-        assert hrep.contains_point(r)
+        assert hrep.violation(r) is None
 
 
 def test_witness_builders_pinned():

@@ -1,12 +1,12 @@
 import pytest
 
 from conekit import rootsys
+from conekit.polycone import DimensionMismatch
 from conekit.rootsys import CapExceeded, NotReduced, cartan_matrix
 from conekit.quiverrep import (
     NotAdapted,
     RepContext,
     all_orientations,
-    ar_quiver,
     check_superfluous_conjecture,
     enumerate_adapted_words,
     equioriented_a,
@@ -123,7 +123,7 @@ def test_ar_structure_staircase():
     assert data["injectives"] == [4, 5, 6]
     # tau pairs each non-projective with the predecessor of its mesh
     assert data["translation"] == [[3, 1], [5, 2], [6, 3]]
-    assert ar_quiver(equioriented_a(3), STAIR3).ar_data() == data
+    assert RepContext(equioriented_a(3), STAIR3).ar_data() == data
 
 
 def test_hom_ext_directedness():
@@ -188,6 +188,15 @@ def test_middle_term_modes_agree_in_type_a():
                     assert ctx.middle_terms(k, l) == ctx.middle_terms(
                         k, l, mode="filter"
                     )
+
+
+def test_dim_vector_checks_length():
+    ctx = RepContext(equioriented_a(2), (2, 1, 2))
+    assert ctx.dim_vector((1, 0, 2)) == (2, 1)
+    # a multiplicity vector must have one entry per indecomposable
+    for m in ((1, 0, 0, 5), (1,)):
+        with pytest.raises(DimensionMismatch):
+            ctx.dim_vector(m)
 
 
 def test_degeneration_order_a2():

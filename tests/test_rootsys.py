@@ -18,7 +18,6 @@ from conekit.rootsys import (
     parse_type,
     positive_roots,
     staircase_word,
-    sym_pairing,
 )
 
 A2 = cartan_matrix("A", 2)
@@ -76,14 +75,6 @@ def test_highest_root_values():
     # doubles it
     assert highest_root(B2) == (2, 1)
     assert highest_root(G2) == (2, 3)
-
-
-def test_sym_pairing_symmetrizes_g2():
-    # long root alpha_1 has squared length 6, short alpha_2 has 2
-    assert sym_pairing(G2, (1, 0), (1, 0)) == 6
-    assert sym_pairing(G2, (0, 1), (0, 1)) == 2
-    assert sym_pairing(G2, (1, 0), (0, 1)) == -3
-    assert sym_pairing(G2, (0, 1), (1, 0)) == -3
 
 
 def test_beta_sequence_a2():

@@ -10,7 +10,6 @@ from conekit.tropflag import (
     all_subsets,
     initial_form,
     pair_order,
-    parse_subset,
     phi,
     phi_matrix,
     phi_rank,
@@ -23,16 +22,6 @@ from conekit.tropflag import (
 
 def test_subset_labels_roundtrip():
     assert subset_label((1, 3)) == "13"
-    assert parse_subset("13") == (1, 3)
-    assert parse_subset("134") == (1, 3, 4)
-    # input order is normalized, repeats and 0 are not subsets
-    assert parse_subset("31") == (1, 3)
-    with pytest.raises(ValueError):
-        parse_subset("11")
-    with pytest.raises(ValueError):
-        parse_subset("0")
-    with pytest.raises(ValueError):
-        parse_subset("")
 
 
 def test_all_subsets_graded():
