@@ -112,14 +112,21 @@ def root_sum_identity(c: CartanMatrix, word) -> bool:
 
 
 def degree_cone(quiver: DynkinQuiver, word, ctx: RepContext | None = None) -> RationalCone:
-    """Inequalities d_k + d_l >= sum n_t d_t over all extension middle terms."""
+    """Inequalities d_k + d_l >= sum n_t d_t over all extension middle terms.
+
+    The terms come from `RepContext.oracle_middle_terms`, which walks one
+    Ext pair per τ-orbit and carries its terms along the others. Each form
+    is read off the multiplicity vector n: -n, plus 1 at k and at l.
+    """
     if ctx is None:
         ctx = RepContext(quiver, word)
-    forms = {
-        _term_form(ctx.N, k, l, dict(enumerate(x, start=1)))
-        for k, l in ctx.ext_pairs()
-        for x in ctx.middle_terms(k, l, mode="oracle")
-    }
+    forms = set()
+    for (k, l), terms in ctx.oracle_middle_terms():
+        for x in terms:
+            form = [-m for m in x]
+            form[k - 1] += 1
+            form[l - 1] += 1
+            forms.add(tuple(form))
     return RationalCone.from_inequalities(ctx.N, forms)
 
 

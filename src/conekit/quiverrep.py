@@ -17,9 +17,12 @@ remainder once a nonzero exact field has no later column to lower it. A
 column ([U_z, U_t])_z, at one width sized from the highest root: oracle
 middle terms walk that table with the Hom fields as a budget, and each
 result is checked again by `degenerates_properly`, a packed sum at a width
-sized from its inputs. `hom_leq_strict`, the filter mode and the K-theory
-cones compare Hom dimensions by the same packed sums. Cone witnesses come
-from `RationalCone.missing_generator`.
+sized from its inputs. `oracle_middle_terms` walks one Ext pair per τ-orbit
+and carries its terms along the AR translation to the others (Happel's
+triangle autoequivalence), re-checking every carried term; `middle_terms`
+still walks any single pair. `hom_leq_strict`, the filter mode and the
+K-theory cones compare Hom dimensions by the same packed sums. Cone
+witnesses come from `RationalCone.missing_generator`.
 """
 
 from __future__ import annotations
@@ -331,6 +334,7 @@ class RepContext:
         )
         later = set(self.translation.values())
         self.injectives = tuple(p for p in range(1, self.N + 1) if p not in later)
+        self._units = tuple(tuple(int(t == k) for t in range(self.N)) for k in range(self.N))
         self.arrows = self._mesh_arrows()
         self._reach = self._reachability()
         self._validate()
@@ -369,7 +373,9 @@ class RepContext:
         ]
 
     def unit(self, k: int) -> Mult:
-        return tuple(1 if t == k - 1 else 0 for t in range(self.N))
+        if not 1 <= k <= self.N:
+            raise ValueError(f"need 1 <= k <= {self.N}, got {k}")
+        return self._units[k - 1]
 
     def dim_vector(self, m) -> tuple[int, ...]:
         if len(m) != self.N:
@@ -526,12 +532,89 @@ class RepContext:
         if mode == "filter":
             return [x for x in out if self._hom_window_condition(x, k, l)]
         if mode == "oracle":
-            u, v = self.unit(k), self.unit(l)
-            for x in out:
-                if not self.degenerates_properly(x, u, v):
-                    raise ConsistencyFailure(
-                        f"middle term {x} of ({k},{l}) fails the degeneration test")
+            self._recheck(out, k, l)
         return out
+
+    def _recheck(self, terms, k: int, l: int) -> None:
+        """ConsistencyFailure unless each term x of (k, l) passes
+        `degenerates_properly(x, U_k, U_l)`; a dimension mismatch there is
+        a program fault too."""
+        u, v = self.unit(k), self.unit(l)
+        for x in terms:
+            try:
+                kept = self.degenerates_properly(x, u, v)
+            except DimensionMismatch as exc:
+                raise ConsistencyFailure(
+                    f"middle term {x} of ({k},{l}) has the wrong dimension vector") from exc
+            if not kept:
+                raise ConsistencyFailure(
+                    f"middle term {x} of ({k},{l}) fails the degeneration test")
+
+    def oracle_middle_terms(self):
+        """Yield ((k, l), middle_terms(k, l)) for every pair of `ext_pairs`,
+        one τ-orbit at a time, walking only the top pair of each orbit.
+
+        Why the carry is exact. For a Dynkin quiver Q the AR translation τ is
+        a triangle autoequivalence of D^b(kQ) (Happel 1988, "Triangulated
+        categories in the representation theory of finite dimensional
+        algebras"), and a non-split extension 0 -> U_k -> X -> U_l -> 0 is a
+        triangle U_k -> X -> U_l -> U_k[1] with a nonzero third map. Let U_k
+        and U_l be non-projective (k and l are keys of `translation`). Then
+        τU_k and τU_l are modules, and τ of the triangle is a triangle
+        τU_k -> τX -> τU_l -> τU_k[1], again with a nonzero third map. Modules
+        are closed under extensions in D^b(kQ), so τX is a module; since τ
+        of an indecomposable projective is an injective shifted by [-1], X
+        has no projective summand. The same argument runs backwards with
+        τ^-1, defined on every τU. So Ext1(U_l, U_k) = Ext1(τU_l, τU_k), and
+        X -> τX maps the middle terms of (k, l) one-to-one onto those of
+        (τk, τl), summand t going to `translation[t]`.
+
+        Hence the Ext pairs fall into chains (k, l), (τk, τl), ... . A
+        chain's top pair has k or l without a τ^-1 (not a value of
+        `translation`); the chain ends at the first pair with k or l
+        projective. Each top pair is walked by `middle_terms`; the pairs
+        below it get the walked terms carried through `translation`, sorted
+        into the walk's order. Every carried term is re-checked by
+        `degenerates_properly` (Bongartz 1996, "On degenerations and
+        extensions of finite dimensional modules"). A carried pair that is no
+        Ext pair, a projective summand to carry, a term off the dimension
+        vector or failing the Hom order, or an Ext pair no chain reaches,
+        raises ConsistencyFailure.
+        """
+        tau = self.translation
+        later = set(tau.values())  # the positions with a τ^-1
+        pairs = self.ext_pairs()
+        ext = set(pairs)
+        done = 0
+        for k, l in pairs:
+            if k in later and l in later:
+                continue  # carried down from (τ^-1 k, τ^-1 l)
+            terms = self.middle_terms(k, l)
+            yield (k, l), terms
+            done += 1
+            while k in tau and l in tau:
+                if (tau[k], tau[l]) not in ext:
+                    raise ConsistencyFailure(
+                        f"τ({k},{l}) = ({tau[k]},{tau[l]}) is not an Ext pair")
+                terms = sorted(self._translate(x, k, l) for x in terms)
+                k, l = tau[k], tau[l]
+                self._recheck(terms, k, l)
+                yield (k, l), terms
+                done += 1
+        if done != len(pairs):
+            raise ConsistencyFailure(
+                f"the τ-orbits reach {done} of {len(pairs)} Ext pairs")
+
+    def _translate(self, x, k: int, l: int) -> Mult:
+        """τ of the middle term x of (k, l), summand by summand."""
+        out = [0] * self.N
+        for t, m in enumerate(x, start=1):
+            if m:
+                if t not in self.translation:
+                    raise ConsistencyFailure(
+                        f"middle term {x} of ({k},{l}) has the projective summand U_{t}")
+                out[self.translation[t] - 1] = m
+        return tuple(out)
 
     def _hom_window_condition(self, x, k: int, l: int) -> bool:
         # Hom comparison against U_l over {Z : tau^{-1}U_k <= Z <= U_l}. The

@@ -12,6 +12,7 @@ in `engine_oracle.py` as references.
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 from operator import le
 
@@ -54,15 +55,16 @@ from engine_oracle import (
 )
 
 
-def first_adapted_word(quiver) -> tuple[int, ...]:
-    """The lexicographically first adapted word: smallest usable sink first."""
+def first_adapted_word(quiver, order=sorted) -> tuple[int, ...]:
+    """The first adapted word when each step tries the sinks in `order`: by
+    default the lexicographically first, smallest usable sink first."""
     c = quiver.cartan
     total = num_positive_roots(c)
 
     def walk(q, m, prefix):
         if len(prefix) == total:
             return tuple(prefix)
-        for v in sorted(q.sinks()):
+        for v in order(q.sinks()):
             beta, m2 = reflect_step(c, m, v)
             if all(x >= 0 for x in beta) and any(beta):
                 word = walk(q.reflected(v), m2, prefix + [v])
@@ -342,6 +344,52 @@ def test_middle_terms_match_filtered_walk(family, rank):
         ctx = RepContext(quiver, word)
         for k, l in ctx.ext_pairs():
             assert ctx.middle_terms(k, l) == middle_terms_by_filter(ctx, k, l)
+
+
+def _two_words(family, rank):
+    # Smallest-sink-first words never reorder a carried term list; words
+    # from shuffled sinks do (D5: on 14 of its 16 orientations; E6: in 19 carries).
+    rng = random.Random(0)
+    quivers = all_orientations(cartan_matrix(family, rank))
+    for quiver in quivers[:1] if family == "E" else quivers:
+        yield quiver, first_adapted_word(quiver)
+        yield quiver, first_adapted_word(quiver, lambda sinks: rng.sample(sinks, len(sinks)))
+
+
+@pytest.mark.parametrize("family, rank", [("A", 4), ("D", 4), ("D", 5), ("E", 6)])
+def test_carried_middle_terms_match_the_walk(monkeypatch, family, rank):
+    walked = []
+    walk = RepContext.middle_terms
+
+    def counted(self, k, l, *args):
+        walked.append((k, l))
+        return walk(self, k, l, *args)
+
+    monkeypatch.setattr(RepContext, "middle_terms", counted)
+    for quiver, word in _two_words(family, rank):
+        ctx = RepContext(quiver, word)
+        walked.clear()
+        carried = list(ctx.oracle_middle_terms())
+        # one walk per τ-orbit: the pairs with k or l injective
+        injective = set(ctx.injectives)
+        assert walked == [(k, l) for k, l in ctx.ext_pairs() if {k, l} & injective]
+        assert len(carried) == len(dict(carried))
+        assert dict(carried) == {p: walk(ctx, *p) for p in ctx.ext_pairs()}
+
+
+def test_a_wrong_translation_fails_the_carry():
+    # Swapping two adjacent entries of τ carries terms onto the wrong pairs
+    # or the wrong summands; each swap must surface as ConsistencyFailure
+    # (CLI exit 2), not as a DimensionMismatch from the re-check.
+    quiver = all_orientations(cartan_matrix("D", 5))[0]
+    word = first_adapted_word(quiver)
+    keys = sorted(RepContext(quiver, word).translation)
+    for a, b in zip(keys, keys[1:]):
+        ctx = RepContext(quiver, word)
+        tau = ctx.translation
+        tau[a], tau[b] = tau[b], tau[a]
+        with pytest.raises(ConsistencyFailure):
+            conelab.degree_cone(quiver, word, ctx=ctx)
 
 
 # The walks on the dimension fields only: pinned before the dead-remainder
