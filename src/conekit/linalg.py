@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import lshift, mul
 
 IntVec = tuple[int, ...]
 
@@ -33,7 +33,7 @@ def primitive(v) -> IntVec:
 
 def integerize(v) -> IntVec:
     """Clear denominators of a rational vector and reduce to primitive form."""
-    if all(type(x) is int for x in v):
+    if {int}.issuperset(map(type, v)):
         return primitive(tuple(v))
     fracs = [Fraction(x) for x in v]
     mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
@@ -46,7 +46,7 @@ def pack(v, width: int) -> int:
     The sum is exact for entries of either sign; field i reads back as v_i
     only while every entry lies in [0, 2**width).
     """
-    return sum(x << (width * i) for i, x in enumerate(v))
+    return sum(map(lshift, v, range(0, width * len(v), width)))
 
 
 def dot(a, b):

@@ -3,25 +3,29 @@
 All cones are closed convex rational cones ``{x : f . x >= 0}``. Both
 representations are kept over the integers: inequality forms, extreme rays,
 and lineality bases are primitive integer vectors. There is no floating
-point and no LP solver anywhere in this module. Each cone costs one run of
-the double description method (`dd_vrep`), with the combinatorial adjacency
-test (prefiltered by a count of shared tight forms), lineality handled by
-pivoting, and every form evaluated on its nonzero coordinates only. The
-run keeps the set of forms tight on each ray, and the other side of the
+point and no LP solver anywhere in this module. A cone is expanded by one
+run of the double description method (`dd_vrep`), with the combinatorial
+adjacency test (prefiltered by a count of shared tight forms), lineality
+handled by pivoting, and every form evaluated on its nonzero coordinates
+only; or, when its forms are unit triangular (each ends with a 1 at its
+own coordinate, as the negative tight cone's do), by one integer
+substitution instead (`_triangular_vrep`), with the same output. Either
+way the set of forms tight on each ray is kept, and the other side of the
 cone (its facets and span equations, or for a cone given by generators its
 rays and lineality) is read off those zero sets with no second run.
 
-A cone keeps the side it was given, inequalities or generators, and runs
-that DD only when its other side is first read; `dual` swaps the sides and
-runs none. Cones are compared from their defining forms: `contains` tests
-the inequalities of the containing cone, less the forms the other cone was
-given, on the other cone's given generators (its rays and lines if it was
-given by inequalities) as a few packed integer sums.
+A cone keeps the side it was given, inequalities or generators, and is
+expanded only when its other side is first read; `dual` swaps the sides
+and expands nothing. Cones are compared from their defining forms:
+`contains` tests the inequalities of the containing cone, less the forms
+the other cone was given, on the other cone's given generators (its rays
+and lines if it was given by inequalities) as a few packed integer sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter, mul
 
 from .linalg import dot, integerize, pack, primitive, row_space_basis
@@ -60,7 +64,7 @@ def _reduce_mod_rows(v: IntVec, basis: list[IntVec]) -> IntVec:
     """
     w = tuple(v)
     for row in basis:
-        pivot = next(i for i, x in enumerate(row) if x != 0)
+        pivot = row.index(next(filter(None, row)))
         if w[pivot]:
             a, b = row[pivot], w[pivot]
             w = tuple(a * x - b * y for x, y in zip(w, row))
@@ -167,9 +171,52 @@ def dd_vrep(dim: int, forms: list[IntVec]) -> tuple[list[IntVec], list[IntVec], 
     return [r for r, _ in out], lin_basis, [zs for _, zs in out]
 
 
+def _triangular_vrep(
+    dim: int, forms: list[IntVec]
+) -> tuple[list[IntVec], list[IntVec], list[int]] | None:
+    """The output of `dd_vrep`, with no DD, when the last nonzero coordinate
+    of every form is 1 and no two forms end at the same coordinate; None
+    for any other form list.
+
+    Stack the forms with the unit forms x_c of the coordinates c where no
+    form ends, and put each row at the coordinate where it ends. The square
+    matrix M so made is unit lower triangular, so the forms are independent,
+    and M^-1 is an integer matrix found by substitution, one coordinate at
+    a time from the first: row e of M^-1 is the unit row e less f_i times
+    row i of M^-1 for each earlier coordinate i of the form f ending at e.
+    Column c of M^-1 lies in ker F where c is a unit row, and column e is
+    the r_j with F r_j = e_j where form j ends at e. So C = {x : F x >= 0}
+    is ker F plus the simplicial cone on the r_j; ray j is tight on every
+    form but j. Both sides come back canonical as `dd_vrep` makes them.
+    """
+    ends: dict[int, int] = {}
+    for j, f in enumerate(forms):
+        support = list(compress(range(dim), f))
+        if len(f) != dim or not support or f[support[-1]] != 1 or support[-1] in ends:
+            return None
+        ends[support[-1]] = j
+    inverse: list[list[int]] = []
+    for c in range(dim):
+        row = [0] * dim
+        row[c] = 1
+        if c in ends:
+            f = forms[ends[c]]
+            for i in compress(range(c), f):
+                a = f[i]
+                row = [x - a * y for x, y in zip(row, inverse[i])]
+        inverse.append(row)
+    columns = list(zip(*inverse))
+    lineality = row_space_basis([columns[c] for c in range(dim) if c not in ends])
+    every = (1 << len(forms)) - 1
+    out = sorted((_reduce_mod_rows(columns[e], lineality), every ^ 1 << j)
+                 for e, j in ends.items())
+    return [r for r, _ in out], lineality, [zs for _, zs in out]
+
+
 def _both_sides(dim: int, forms: list[IntVec]):
     """V-representations of C = {x : f . x >= 0 for f in forms} and of its
-    dual, the cone generated by `forms`, from one DD.
+    dual, the cone generated by `forms`, from one `_triangular_vrep` or,
+    when the forms do not have its shape, one DD.
 
     The dual is read off the zero sets of the rays of C. The forms tight on
     every ray vanish on all of C: they are the implicit equalities, and
@@ -182,7 +229,7 @@ def _both_sides(dim: int, forms: list[IntVec]):
     a positive factor, so one form per facet, reduced modulo them, is a ray
     of the dual.
     """
-    rays, lineality, zero_sets = dd_vrep(dim, forms)
+    rays, lineality, zero_sets = _triangular_vrep(dim, forms) or dd_vrep(dim, forms)
     # Transpose through one bit string per ray: rays_of[j] has one bit per
     # ray, set where forms[j] is tight on it.
     width = len(forms)
@@ -225,7 +272,8 @@ def _normalized(dim: int, vectors, kind: str) -> tuple[IntVec, ...]:
 
 class RationalCone:
     """A rational cone that keeps the side it was given, forms `_ineqs` or
-    generators `_gens`; one DD fills in `_vrep` and `_dualrep` on demand."""
+    generators `_gens`; one `_both_sides` fills in `_vrep` and `_dualrep`
+    on demand."""
 
     __slots__ = ("dim", "_ineqs", "_gens", "_vrep", "_dualrep")
 
@@ -249,8 +297,8 @@ class RationalCone:
     # -- representations ---------------------------------------------------
 
     def _expand(self) -> None:
-        """Both V-representations from one DD over the given side (the
-        generators of a cone are inequality forms of its dual)."""
+        """Both V-representations from one `_both_sides` over the given side
+        (the generators of a cone are inequality forms of its dual)."""
         if self._ineqs is not None:
             self._vrep, self._dualrep = _both_sides(self.dim, list(self._ineqs))
         else:
@@ -358,7 +406,7 @@ class RationalCone:
         half = pack([1 << (width - 1)] * len(gens), width)
         cols = [pack(col, width) for col in zip(*gens)]
         return all(
-            half + sum(x * col for x, col in zip(f, cols) if x) & half == half
+            half + sum(map(mul, compress(f, f), compress(cols, f))) & half == half
             for f in forms
         )
 

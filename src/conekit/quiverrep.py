@@ -16,8 +16,9 @@ remainder once a nonzero exact field has no later column to lower it. A
 `RepContext` packs each root once, its dimension vector and then its Hom
 column ([U_z, U_t])_z, at one width sized from the highest root: oracle
 middle terms walk that table with the Hom fields as a budget, and each
-result is checked again by `degenerates_properly`, a packed sum at a width
-sized from its inputs. `oracle_middle_terms` walks one Ext pair per τ-orbit
+result is checked again by `_recheck`: the test of `degenerates_properly`,
+against one packed goal per Ext pair at a width sized from the pair.
+`oracle_middle_terms` walks one Ext pair per τ-orbit
 and carries its terms along the AR translation to the others (Happel's
 triangle autoequivalence), re-checking every carried term; `middle_terms`
 still walks any single pair. `hom_leq_strict`, the filter mode and the
@@ -29,8 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import lcm
-from operator import add, le, sub
+from operator import add, le, mul, sub
 
 from . import rootsys
 from .linalg import dot, nullspace_basis, pack, primitive, rank
@@ -492,6 +494,11 @@ class RepContext:
         """x and u + v have one dimension vector, and hom_leq_strict(x, u + v):
         one packed sum each, whose dimension fields must agree."""
         width, guard, (hx, goal) = self._packed(x, tuple(map(add, u, v)))
+        return self._below(hx, goal, width, guard)
+
+    def _below(self, hx: int, goal: int, width: int, guard: int) -> bool:
+        """The packed x lies strictly below the packed goal in the Hom order;
+        DimensionMismatch unless their dimension fields agree."""
         if (hx ^ goal) & (1 << width * self.n) - 1:
             raise DimensionMismatch("dimension vectors do not add up")
         return hx != goal and (goal | guard) - hx & guard == guard
@@ -504,8 +511,8 @@ class RepContext:
         mode 'oracle' walks the open position window against the packed
         fields of U_k + U_l: dimension fields exact, Hom fields a budget
         ([U_z, X] <= [U_z, U_k + U_l], the degeneration order of a directed
-        algebra), strict since X is not U_k + U_l. Every result must pass
-        `degenerates_properly`, or ConsistencyFailure. 'filter' replaces the
+        algebra), strict since X is not U_k + U_l. Every result must pass the
+        `degenerates_properly` test in `_recheck`, or ConsistencyFailure. 'filter' replaces the
         budget by the combinatorial conditions (path-order window plus the
         Hom comparison against U_l on the translate window); 'relaxed' keeps
         the path-order window only.
@@ -538,11 +545,34 @@ class RepContext:
     def _recheck(self, terms, k: int, l: int) -> None:
         """ConsistencyFailure unless each term x of (k, l) passes
         `degenerates_properly(x, U_k, U_l)`; a dimension mismatch there is
-        a program fault too."""
-        u, v = self.unit(k), self.unit(l)
+        a program fault too.
+
+        The goal U_k + U_l is packed once, one bit past the bit length of
+        cap = theta . dim(U_k + U_l), the width `_packed` picks for it. A
+        term is packed only once x >= 0 and theta . dim x = cap, which bound
+        every field of x by cap, so no field carries into the next. Where
+        that width is the walk's own (sized from 2 theta . theta, on 914 of
+        E8's 5,005 pairs for one word), it is one bit wider: the table read
+        here is then never the list the walk read, but one packed afresh
+        from the roots' fields, so a wrong field in the walk's table fails
+        here instead of passing twice.
+        """
+        cap = self._caps[k - 1] + self._caps[l - 1]
+        width = cap.bit_length() + 1
+        if width == self._width:
+            width += 1
+        guard, table = self._packing(width)
+        goal = table[k - 1] + table[l - 1]
+        caps = self._caps
         for x in terms:
             try:
-                kept = self.degenerates_properly(x, u, v)
+                if min(x) < 0:
+                    kept = False
+                elif sum(map(mul, x, caps)) != cap:
+                    raise DimensionMismatch("dimension vectors do not add up")
+                else:
+                    hx = sum(map(mul, compress(table, x), compress(x, x)))
+                    kept = self._below(hx, goal, width, guard)
             except DimensionMismatch as exc:
                 raise ConsistencyFailure(
                     f"middle term {x} of ({k},{l}) has the wrong dimension vector") from exc
@@ -574,8 +604,8 @@ class RepContext:
         `translation`); the chain ends at the first pair with k or l
         projective. Each top pair is walked by `middle_terms`; the pairs
         below it get the walked terms carried through `translation`, sorted
-        into the walk's order. Every carried term is re-checked by
-        `degenerates_properly` (Bongartz 1996, "On degenerations and
+        into the walk's order. Every carried term is re-checked by `_recheck`,
+        the test of `degenerates_properly` (Bongartz 1996, "On degenerations and
         extensions of finite dimensional modules"). A carried pair that is no
         Ext pair, a projective summand to carry, a term off the dimension
         vector or failing the Hom order, or an Ext pair no chain reaches,

@@ -194,6 +194,7 @@ def parse_type(text: str) -> CartanMatrix:
     return cartan_matrix(text[0].upper(), int(text[1:]))
 
 
+@lru_cache(maxsize=None)
 def langlands_dual(c: CartanMatrix) -> CartanMatrix:
     """Transpose of the Cartan matrix, with symmetrizers recomputed.
 
