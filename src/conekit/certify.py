@@ -293,9 +293,11 @@ def criterion_root_sums() -> tuple[bool, dict]:
 
 
 def criterion_ktheory_duality() -> tuple[bool, dict]:
-    """Extension cone equals the dual Hom-functional cone at the default
-    bound b, and the cone at b + 1 equals the one at b (`stabilized`, which
-    compares only these two bounds)."""
+    """Extension cone equals the dual Hom-functional cone D^v at the
+    default bound b, and `stabilized` holds. The verdict is `equal` exactly
+    when b is at least B*, the largest height of a ray of D^v; the extension
+    cone then equals D^v at every bound from b on, which is what
+    `stabilized` means there."""
     reports = {}
     ok = True
     for rank in (2, 3):

@@ -22,8 +22,9 @@ against one packed goal per Ext pair at a width sized from the pair.
 and carries its terms along the AR translation to the others (Happel's
 triangle autoequivalence), re-checking every carried term; `middle_terms`
 still walks any single pair. `hom_leq_strict`, the filter mode and the
-K-theory cones compare Hom dimensions by the same packed sums. Cone
-witnesses come from `RationalCone.missing_generator`.
+K-theory generators compare Hom dimensions by the same packed sums. The
+K-theory verdicts and witness come from the rays of the dual Hom-functional
+cone, each with its height.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from math import lcm
+from math import gcd, lcm
 from operator import add, le, mul, sub
 
 from . import rootsys
@@ -101,9 +102,6 @@ class DynkinQuiver:
         return tuple(
             j for j in range(1, self.n + 1) if j != v and self.cartan.a(v, j) < 0
         )
-
-    def is_sink(self, v: int) -> bool:
-        return all(s != v for s, _ in self.arrows)
 
     def reflected(self, v: int) -> "DynkinQuiver":
         """Reverse every arrow incident to v."""
@@ -178,14 +176,25 @@ def all_orientations(cartan: CartanMatrix) -> list[DynkinQuiver]:
 
 
 def is_adapted(quiver: DynkinQuiver, word) -> bool:
-    """True when each letter is a sink of the successively reflected quiver."""
-    q = quiver
+    """True when each letter is a sink of the successively reflected quiver.
+
+    The walk keeps only each vertex's count of outgoing arrows. Reflecting
+    at a sink v turns its incoming arrows around: v gains one outgoing arrow
+    per neighbour, and each neighbour loses one.
+    """
+    n = quiver.n
+    out = [0] * (n + 1)
+    ends: list[list[int]] = [[] for _ in range(n + 1)]
+    for s, t in quiver.arrows:
+        out[s] += 1
+        ends[s].append(t)
+        ends[t].append(s)
     for letter in word:
-        if not (1 <= letter <= q.n):
+        if not 1 <= letter <= n or out[letter]:
             return False
-        if not q.is_sink(letter):
-            return False
-        q = q.reflected(letter)
+        out[letter] = len(ends[letter])
+        for v in ends[letter]:
+            out[v] -= 1
     return True
 
 
@@ -702,33 +711,43 @@ class RepContext:
 
     # -- Grothendieck-group cones ------------------------------------------
 
-    def _degenerations(self, group: list[Mult]) -> list[tuple[Mult, Mult]]:
-        """Every (x, y) in group, all of one dimension vector, with
-        ``hom_leq_strict(x, y)``, by the packed fields of `_packed`."""
-        _, guard, homs = self._packed(*group)
-        return [
-            (x, y)
-            for x, hx in zip(group, homs)
-            for y, hy in zip(group, homs)
-            if hx != hy and (hy | guard) - hx & guard == guard
-        ]
+    def _extension_generators(self, bound: int) -> dict[Mult, int]:
+        """Each y - x of a proper degeneration x < y of modules of height at
+        most bound with disjoint supports and gcd(y - x) = 1, mapped to the
+        height of y.
 
-    def _extension_deltas(self, bound: int) -> dict[Mult, int]:
-        """Each primitive y - x of a proper degeneration x < y of modules of
-        height at most bound, with the least height where it occurs."""
-        heights = [(sum(b),) for b in self.betas]
-        by_dim: dict[tuple[int, ...], list[Mult]] = {}
-        for m in bounded_multisets((bound,), heights, exact=False):
-            by_dim.setdefault(self.dim_vector(m), []).append(m)
-        deltas: dict[Mult, int] = {}
-        for dim, group in by_dim.items():
+        One walk to the bound; each module is packed from `_packing`, its
+        dimension fields and then its Hom fields, at a width where no field
+        of a module of height h <= bound (at most theta . dim, so at most
+        max(theta) h) reaches the guard bit. Modules are grouped by their
+        dimension fields, and packed again inside their group: keeping every
+        packed sum until the groups are done would hold one more int per
+        module at the peak. In a group every module is nonzero, so two of
+        disjoint support differ, and their Hom fields differ too (the Hom
+        table is unitriangular): the guard-bit test is then strict.
+        """
+        width = (max(highest_root(self.quiver.cartan)) * bound).bit_length() + 1
+        guard, table = self._packing(width)
+        dims = (1 << width * self.n) - 1
+        bits = [1 << t for t in range(self.N)]
+        heights = [sum(b) for b in self.betas]
+        groups: dict[int, list] = {}
+        for m in bounded_multisets((bound,), [(h,) for h in heights], exact=False):
+            packed = sum(map(mul, compress(table, m), compress(m, m)))
+            groups.setdefault(packed & dims, []).append(m)
+        out: dict[Mult, int] = {}
+        for group in groups.values():
             if len(group) < 2:
                 continue
-            height = sum(dim)
-            for x, y in self._degenerations(group):
-                delta = primitive(tuple(map(sub, y, x)))
-                deltas[delta] = min(height, deltas.get(delta, height))
-        return deltas
+            height = dot(group[0], heights)
+            group = [(m, sum(map(mul, compress(table, m), compress(m, m))),
+                      sum(compress(bits, m)), gcd(*m)) for m in group]
+            for x, hx, sx, cx in group:
+                for y, hy, sy, cy in group:
+                    if (not sx & sy and gcd(cx, cy) == 1
+                            and (hy | guard) - hx & guard == guard):
+                        out[tuple(map(sub, y, x))] = height
+        return out
 
     def default_ktheory_bound(self) -> int:
         return 2 * sum(highest_root(self.quiver.cartan))
@@ -736,22 +755,52 @@ class RepContext:
     def ktheory_cones(self, bound: int | None = None) -> dict:
         """Extension cone versus functional cone inside the dimension kernel.
 
-        The kernel of the multiplicity-to-dimension-vector map has rank N-n;
-        the extension cone lives there, generated by differences of proper
-        degenerations up to the dimension bound, and is compared against the
-        dual of the cone spanned by the Hom functionals of the non-projective
-        indecomposables, given directly by those functionals as its forms.
-        Both generator sets come from one walk to height bound+1, each
-        difference tagged with the least height of a dimension group it
-        occurs in (`_degenerations` compares packed Hom fields). Kernel
-        coordinates are read off free columns. The verdicts need one DD, the
-        extension cone's; the dual cone expands only when some facet of E is
-        not one of its forms.
+        The kernel K of the multiplicity-to-dimension-vector map has rank
+        m = N - n, with coordinates read off free columns. The extension
+        cone E_b lives there, generated by the differences y - x of proper
+        degenerations x < y (`hom_leq_strict`; for a representation-directed
+        algebra the degeneration order is the Hom order, Bongartz 1996) of
+        modules of height at most b. It is compared with D^v = {c : d . c >= 0
+        for d in D}, where D holds the Hom functionals [U_k, -] of the
+        non-projective indecomposables U_k, restricted to K.
 
-        `stabilized` says only that the cone at bound+1 equals the cone at
-        bound; a later bound may still grow it. On D4, `1>2,3>2,4>2` with
-        the word (2,1,3,4)*3, it reads True at bounds 6 and 7 and False at
-        bound 8, and the duality verdict is `equal` first at bound 9.
+        D is a basis of the dual of K. The N functionals [U_z, -] form a
+        unitriangular matrix, so they are a basis of the dual of Q^N. For a
+        projective P, [P, -] is the Euler form with dim P, linear in the
+        dimension vector, and the n projectives have independent dimension
+        vectors: their functionals span the forms vanishing on K. Restricted
+        to K, the other m functionals therefore span its dual, and are a
+        basis of it. So D^v is simplicial and pointed, with m extreme rays,
+        expanded from its m forms in dimension m (one DD at most). A rank
+        below m raises ConsistencyFailure.
+
+        (a) E_b lies in D^v: y - x has [U_z, y - x] >= 0 for every z.
+        (b) A nonzero primitive r of K in D^v is itself a generator, from the
+            pair (r-, r+) at height ht(r+) = sum dim r+: [P, r] = 0 for a
+            projective P, as r has dimension vector 0, so r- < r+ in the Hom
+            order, strictly since r != 0 and the Hom table is unitriangular.
+        (c) An extreme ray r of D^v lies in E_b iff ht(r+) <= b. By (a), a
+            sum of generators on an extreme ray has every term on it, so r
+            lies in E_b iff y - x = c r for some c > 0 and a pair of height
+            ht(y) <= b. Then x - c r- = y - c r+ >= 0 is a summand common to
+            x and y, so ht(y) >= c ht(r+) >= ht(r+); by (b), (r-, r+) is
+            such a pair.
+
+        Let B* be the largest ht(r+) over the rays of D^v. By (a) and (c),
+        E_b = D^v, the verdict `equal`, exactly when b >= B*; below it the
+        witness is the first sorted ray of D^v with ht(r+) > b. `stabilized`
+        says that E_{b+1} = E_b: true for b >= B*, where both are D^v; false
+        when some ray of D^v has height b + 1, which E_{b+1} holds and E_b
+        does not; otherwise E_b is expanded by DD and tested against the
+        generators of E_{b+1}. Below B* it compares these two bounds only: on
+        D4, `1>2,3>2,4>2` with the word (2,1,3,4)*3, it reads True at bounds
+        6 and 7 and False at bound 8, and B* = 9.
+
+        By (b), the generators need only the pairs of disjoint support with
+        gcd(y - x) = 1; a pair sharing a summand or with a common factor
+        gives a multiple of one of those, at a greater height. One walk to
+        height b + 1 gives the generators of E_b and E_{b+1}
+        (`_extension_generators`).
         """
         if bound is None:
             bound = self.default_ktheory_bound()
@@ -772,48 +821,48 @@ class RepContext:
                 raise ConsistencyFailure(f"{vec} is not in the dimension kernel")
             return primitive(tuple(coeffs))
 
-        deltas = self._extension_deltas(bound + 1)
-        coords = {delta: to_lambda(delta) for delta in deltas}
-        e_gens = sorted({coords[d] for d, height in deltas.items() if height <= bound})
+        deltas = self._extension_generators(bound + 1)
+        e_gens = sorted({to_lambda(d) for d, height in deltas.items() if height <= bound})
         if not e_gens:
             raise ValueError(f"no extension generators below the bound {bound}")
-        e_next = sorted(set(coords.values()))
         d_gens = []
         for k in sorted(self.translation):  # the non-projectives
             functional = [self.hom_indec(k, l) for l in range(1, self.N + 1)]
             d_gens.append(tuple(dot(functional, b) for b in lam))
         m = self.N - self.n
-        e_cone = RationalCone.from_generators(m, e_gens)
-        d_dual = RationalCone.from_inequalities(m, d_gens)
-        d_independent = rank(d_gens) == len(d_gens)
-        # Every E generator is also an E_next generator, so E lies in E_next
-        # by construction and the converse decides stabilization.
-        stabilized = e_cone.contains(RationalCone.from_generators(m, e_next))
-        duality = e_cone.same_cone(d_dual)
+        if len(d_gens) != m or rank(d_gens) != m:
+            raise ConsistencyFailure(
+                f"the {len(d_gens)} Hom functionals of the non-projectives have "
+                f"rank {rank(d_gens)} on the dimension kernel, expected {m}")
+        rays = RationalCone.from_inequalities(m, d_gens).rays
+        heights = []  # ht(r+) of the primitive multiplicity vector on each ray
+        for r in rays:
+            vec = primitive([dot(r, col) for col in zip(*lam)])
+            heights.append(sum(x * sum(b) for x, b in zip(vec, self.betas) if x > 0))
+        top = max(heights)  # B*
+        if bound >= top:
+            stabilized = True  # E_bound and E_{bound+1} are both D^v
+        elif bound + 1 in heights:
+            stabilized = False  # E_{bound+1} holds a ray of D^v that E_bound misses
+        else:
+            e_next = set(e_gens) | {to_lambda(d) for d, h in deltas.items() if h > bound}
+            stabilized = RationalCone.from_generators(m, e_gens).contains(
+                RationalCone.from_generators(m, e_next))
         report = {
             "bound": bound,
             "lambda_rank": m,
             "lambda_basis": [list(b) for b in lam],
             "E_generators": [list(g) for g in e_gens],
             "D_generators": [list(g) for g in d_gens],
-            "D_count": len(d_gens),
-            "D_independent": d_independent,
+            "D_count": m,
+            "D_independent": True,
             "stabilized": stabilized,
-            "duality_verdict": "equal" if duality and d_independent else "not_equal",
+            "duality_verdict": "equal" if bound >= top else "not_equal",
         }
-        if not duality:
-            report["witness"] = _containment_witness(e_cone, d_dual)
+        if bound < top:
+            ray = next(r for r, h in zip(rays, heights) if h > bound)
+            report["witness"] = {"ray_of": "D_dual", "ray": list(ray)}
         return report
-
-
-def _containment_witness(a: RationalCone, b: RationalCone) -> dict:
-    """A ray of one cone outside the other, as plain data."""
-    for ray_of, small, big in (("E", a, b), ("D_dual", b, a)):
-        found = big.missing_generator(small)
-        # generators come rays first, so a line here means no ray is outside
-        if found is not None and found[0] in small.rays:
-            return {"ray_of": ray_of, "ray": list(found[0])}
-    return {"note": "cones differ only in lineality"}
 
 
 def check_superfluous_conjecture(quiver: DynkinQuiver, word) -> dict:

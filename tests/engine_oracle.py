@@ -14,7 +14,13 @@ candidates of a dimension-only walk that pass them, where
 pointed cone from every square subsystem of its forms, with no double
 description; `dual_by_second_dd` is the dual of a cone by a second double
 description over its generators, which `RationalCone` replaces by reading
-the dual off the zero sets of its one run. The tests compare each fast path
+the dual off the zero sets of its one run. `extension_generators_by_pairs`
+is the all-pairs route to the K-theory generators that
+`RepContext._extension_generators` replaces by the pairs of disjoint
+support; `containment_witness` is the witness search over two expanded
+cones that `ktheory_cones` replaces by the heights of the rays of D^v;
+`is_adapted_by_reflection` builds every reflected quiver, where
+`quiverrep.is_adapted` keeps arrow counts. The tests compare each fast path
 against these.
 """
 
@@ -27,6 +33,16 @@ from math import lcm
 from conekit.linalg import dot, nullspace_basis, primitive
 from conekit.polycone import DimensionMismatch, dd_vrep, with_lines
 from conekit.quiverrep import bounded_multisets
+
+
+def is_adapted_by_reflection(quiver, word) -> bool:
+    """Each letter a sink of the quiver reflected at every earlier letter."""
+    q = quiver
+    for letter in word:
+        if not 1 <= letter <= q.n or letter not in q.sinks():
+            return False
+        q = q.reflected(letter)
+    return True
 
 
 def brute_multisets(target, columns, exact: bool = True) -> list[tuple[int, ...]]:
@@ -75,6 +91,25 @@ def degenerates_properly_sparse(ctx, x, u, v) -> bool:
     if ctx.dim_vector(x) != ctx.dim_vector(y):
         raise DimensionMismatch("dimension vectors do not add up")
     return hom_dominated_sparse(ctx, x, y, range(1, ctx.N + 1))
+
+
+def extension_generators_by_pairs(ctx, bound: int) -> dict[tuple[int, ...], int]:
+    """Each primitive y - x over every pair x, y of modules of height at most
+    bound with one dimension vector and `hom_dominated_sparse(x, y)`, mapped
+    to the least height of y where it occurs."""
+    by_dim: dict[tuple[int, ...], list] = {}
+    heights = [(sum(b),) for b in ctx.betas]
+    for m in bounded_multisets((bound,), heights, exact=False):
+        by_dim.setdefault(ctx.dim_vector(m), []).append(m)
+    every = range(1, ctx.N + 1)
+    out: dict[tuple[int, ...], int] = {}
+    for dim, group in by_dim.items():
+        for x in group:
+            for y in group:
+                if hom_dominated_sparse(ctx, x, y, every):
+                    delta = primitive(tuple(b - a for a, b in zip(x, y)))
+                    out[delta] = min(sum(dim), out.get(delta, sum(dim)))
+    return out
 
 
 def middle_terms_by_filter(ctx, k: int, l: int) -> list[tuple[int, ...]]:
@@ -182,3 +217,14 @@ def dual_by_second_dd(dim: int, rays, lineality) -> tuple[list, list]:
     generated by `rays` and the lines `lineality`: the generators, each line
     in both directions, are the forms of the dual."""
     return dd_vrep(dim, with_lines(rays, lineality))[:2]
+
+
+def containment_witness(a, b) -> dict:
+    """A ray of one cone outside the other, as plain data: a ray of `a` (as
+    "E") outside `b`, else a ray of `b` (as "D_dual") outside `a`."""
+    for ray_of, small, big in (("E", a, b), ("D_dual", b, a)):
+        found = big.missing_generator(small)
+        # generators come rays first, so a line here means no ray is outside
+        if found is not None and found[0] in small.rays:
+            return {"ray_of": ray_of, "ray": list(found[0])}
+    return {"note": "cones differ only in lineality"}

@@ -4,7 +4,8 @@ The digests below were recorded before the packed filling walk, the sparse
 degeneration test and the integer-only cone arithmetic replaced the older
 tuple and `Fraction` routes; the same inputs must keep producing the same
 JSON. The K-theory digest also predates the packed Hom comparison, the
-single walk for both bounds and the elimination-free kernel coordinates.
+single walk for both bounds, the elimination-free kernel coordinates and
+the verdicts read off the rays of D^v.
 The E7 digest predates the Hom budget inside the filling walk, the packed
 degeneration test and the fraction-free row reduction. The slow routes stay
 in `engine_oracle.py` as references.
@@ -44,8 +45,10 @@ from conekit.rootsys import (
 from engine_oracle import (
     brute_extreme_rays,
     brute_multisets,
+    containment_witness,
     degenerates_properly_sparse,
     dual_by_second_dd,
+    extension_generators_by_pairs,
     hom_dominated_sparse,
     integerize_by_fractions,
     middle_terms_by_filter,
@@ -108,9 +111,10 @@ def test_ktheory_output_pinned():
 
 
 def test_ktheory_d4_pinned():
-    # K-theory verdicts off type A. `stabilized` compares bound b with b + 1
-    # only: it reads True at bound 7, yet bound 8 grows the cone again, and
-    # the verdict is `equal` first at bound 9 (a CI known-answer step).
+    # K-theory verdicts off type A. Below B* = 9, `stabilized` compares bound
+    # b with b + 1 only: it reads True at bound 7, yet bound 8 grows the cone
+    # again, and the verdict is `equal` first at bound 9 (a CI known-answer
+    # step).
     quiver = quiverrep.parse_quiver("1>2,3>2,4>2")
     reports = [ktheory_cones(quiver, (2, 1, 3, 4) * 3, b) for b in (5, 7, 8)]
     assert all(r["duality_verdict"] == "not_equal" and "witness" in r for r in reports)
@@ -234,24 +238,92 @@ def _ktheory_cases():
 
 
 def test_packed_hom_comparison_matches_sparse_reference():
-    # `hom_leq_strict` shares the packed idiom under test; it is checked
-    # against the sparse sum by the degeneration tests below
+    # The generators from pairs of disjoint support, compared by packed Hom
+    # fields, against every pair compared by the sparse sum: the same
+    # primitive differences, each at the least height where it occurs.
     cases = 0
     for quiver, word in _ktheory_cases():
         ctx = quiverrep.RepContext(quiver, word)
-        heights = [(sum(b),) for b in ctx.betas]
         bound = ctx.default_ktheory_bound()
-        by_dim = {}
-        for m in bounded_multisets((bound,), heights, exact=False):
-            by_dim.setdefault(ctx.dim_vector(m), []).append(m)
-        every = range(1, ctx.N + 1)
-        for group in by_dim.values():
-            assert ctx._degenerations(group) == [
-                (x, y) for x in group for y in group
-                if hom_dominated_sparse(ctx, x, y, every)
-            ]
+        assert ctx._extension_generators(bound) == extension_generators_by_pairs(ctx, bound)
         cases += 1
     assert cases == 14
+
+
+# -- K-theory verdicts from the rays of D^v against E's double description
+
+
+def _dual_rays_with_heights(ctx, report):
+    """D^v from the report's D generators, and each of its rays with ht(r+)
+    of the primitive multiplicity vector on it, read off `lambda_basis`."""
+    lam = report["lambda_basis"]
+    d_dual = RationalCone.from_inequalities(report["lambda_rank"], report["D_generators"])
+    rays = []
+    for r in d_dual.rays:
+        vec = integerize([dot(r, column) for column in zip(*lam)])
+        rays.append((r, sum(x * sum(b) for x, b in zip(vec, ctx.betas) if x > 0)))
+    return d_dual, rays
+
+
+def _ktheory_dd_cases(family, rank):
+    """Every adapted word of A2 and A3, the first of each A4 orientation,
+    and the D4 word whose verdict is `equal` first at bound 9."""
+    if family == "D":
+        yield quiverrep.parse_quiver("1>2,3>2,4>2"), (2, 1, 3, 4) * 3
+        return
+    for quiver in all_orientations(cartan_matrix(family, rank)):
+        words = enumerate_adapted_words(quiver)
+        for word in words if rank < 4 else words[:1]:
+            yield quiver, word
+
+
+@pytest.mark.parametrize("family, rank", [("A", 2), ("A", 3), ("A", 4), ("D", 4)])
+def test_ktheory_verdicts_match_extension_cone_dd(family, rank):
+    # At every bound b up to the default, against B*, the largest ray height
+    # of D^v. Up to B*, E_b is expanded by DD: it equals D^v exactly at B*,
+    # `stabilized` is its comparison with E_{b+1}, and a `not_equal` witness
+    # is the one the search over both expanded cones finds. Above B*, E_b
+    # holds the generators of E_{B*} = D^v and lies in D^v by D's forms, so
+    # it is D^v with no DD (on D4, E_10 would be a DD of 2,235 generators).
+    for quiver, word in _ktheory_dd_cases(family, rank):
+        ctx = RepContext(quiver, word)
+        default = ctx.default_ktheory_bound()
+        reports = {}
+        for b in range(1, default + 2):
+            try:
+                reports[b] = ctx.ktheory_cones(b)
+            except ValueError:
+                assert not reports  # no generators below the first bound with some
+        assert reports[default]["duality_verdict"] == "equal"
+        for b in range(min(reports), default + 1):
+            report = reports[b]
+            d_dual, rays = _dual_rays_with_heights(ctx, report)
+            top = max(h for _, h in rays)
+            assert (report["duality_verdict"] == "equal") == (b >= top)
+            m = report["lambda_rank"]
+            e_cone = RationalCone.from_generators(m, report["E_generators"])
+            e_next = RationalCone.from_generators(m, reports[b + 1]["E_generators"])
+            if b <= top:
+                assert e_cone.same_cone(d_dual) == (b == top)
+                assert report["stabilized"] == e_cone.contains(e_next)
+            else:
+                e_top = {tuple(g) for g in reports[top]["E_generators"]}
+                assert e_top <= set(map(tuple, report["E_generators"]))
+                assert d_dual.contains(e_cone) and d_dual.contains(e_next)
+                assert report["stabilized"]
+            if b < top:
+                assert report["witness"] == containment_witness(e_cone, d_dual)
+
+
+def test_dependent_hom_functionals_raise():
+    # A non-projective Hom functional patched to zero leaves D dependent,
+    # which the independence proof rules out: a program fault, not a verdict.
+    quiver = all_orientations(cartan_matrix("A", 4))[1]
+    ctx = RepContext(quiver, first_adapted_word(quiver))
+    victim, hom = max(ctx.translation), ctx.hom_indec
+    ctx.hom_indec = lambda k, l: 0 if k == victim else hom(k, l)
+    with pytest.raises(ConsistencyFailure, match="rank 5 on the dimension kernel, expected 6"):
+        ctx.ktheory_cones()
 
 
 # -- packed degeneration test against the sparse reference --------------------
@@ -639,10 +711,11 @@ def test_one_dd_per_cone(monkeypatch):
     report.to_dict()
     assert len(calls) == 1
     calls.clear()
-    ktheory_cones(equioriented_a(4), staircase_word(4))
-    # Only E expands: E_next is tested against E's facets through its given
-    # generators, and E's facets are all forms of D^v, given by its forms.
-    assert len(calls) == 1
+    report = ktheory_cones(equioriented_a(4), staircase_word(4))
+    # Only D^v expands, by one DD of its m forms in dimension m: at the
+    # default bound the verdicts come from the heights of its rays.
+    assert report["duality_verdict"] == "equal"
+    assert calls == [report["lambda_rank"]]
 
 
 @pytest.mark.parametrize("family, rank", [("A", 6), ("D", 5)])

@@ -12,6 +12,7 @@ from conekit.polycone import (
     ZeroCone,
     normalize_form,
 )
+from engine_oracle import containment_witness
 
 
 def extremality_certificate(cone: RationalCone) -> bool:
@@ -211,14 +212,15 @@ def test_vrep_hrep_agree_on_membership(rays):
 
 
 def test_witness_builders_pinned():
-    """Both witness builders name a fixed generator and violation per case.
+    """Both witness builders name a fixed generator and violation per case:
+    conelab's, and `engine_oracle.containment_witness`, the reference the
+    K-theory witness is checked against.
 
     `orthant` strictly contains `narrow` and `diagonal`; `halfplane` has the
     orthant's rays but a lineality line, so it leaves the orthant only
     through the negated line.
     """
     from conekit.conelab import _missing_ray_witness
-    from conekit.quiverrep import _containment_witness
 
     orthant = RationalCone.from_generators(2, [(1, 0), (0, 1)])
     narrow = RationalCone.from_generators(2, [(1, 0), (1, 1)])
@@ -232,13 +234,13 @@ def test_witness_builders_pinned():
     assert _missing_ray_witness(halfplane, orthant, "k") == {
         "kind": "k", "ray": [0, -1], "violated_form": [0, 1]}
 
-    assert _containment_witness(orthant, narrow) == {"ray_of": "E", "ray": [0, 1]}
-    assert _containment_witness(narrow, orthant) == {"ray_of": "D_dual", "ray": [0, 1]}
-    assert _containment_witness(orthant, diagonal) == {"ray_of": "E", "ray": [0, 1]}
-    assert _containment_witness(diagonal, orthant) == {"ray_of": "D_dual", "ray": [0, 1]}
+    assert containment_witness(orthant, narrow) == {"ray_of": "E", "ray": [0, 1]}
+    assert containment_witness(narrow, orthant) == {"ray_of": "D_dual", "ray": [0, 1]}
+    assert containment_witness(orthant, diagonal) == {"ray_of": "E", "ray": [0, 1]}
+    assert containment_witness(diagonal, orthant) == {"ray_of": "D_dual", "ray": [0, 1]}
     lineality_only = {"note": "cones differ only in lineality"}
-    assert _containment_witness(halfplane, orthant) == lineality_only
-    assert _containment_witness(orthant, halfplane) == lineality_only
+    assert containment_witness(halfplane, orthant) == lineality_only
+    assert containment_witness(orthant, halfplane) == lineality_only
 
 
 # -- containment from the defining forms against the witness search ----------

@@ -16,6 +16,7 @@ from conekit.quiverrep import (
     parse_quiver,
     quiver_from_arrows,
 )
+from engine_oracle import is_adapted_by_reflection
 
 STAIR3 = (3, 2, 3, 1, 2, 3)
 
@@ -52,6 +53,27 @@ def test_adaptedness():
     q = equioriented_a(3)
     assert is_adapted(q, STAIR3)
     assert not is_adapted(q, (1, 2, 3, 1, 2, 1))
+
+
+@pytest.mark.parametrize("family, rank", [("A", 3), ("A", 4), ("D", 4)])
+def test_adaptedness_matches_reflected_quivers(family, rank):
+    # Arrow counts against a new quiver per letter: every adapted word of
+    # every orientation, and on two of them each letter replaced by every
+    # other vertex (a wrong sink, or a reflection off the word's path) and
+    # by 0 and n + 1 (out of range).
+    rejected = 0
+    for q in all_orientations(cartan_matrix(family, rank)):
+        words = enumerate_adapted_words(q)
+        for word in words:
+            assert is_adapted(q, word) and is_adapted_by_reflection(q, word)
+        for word in words[:2]:
+            for i in range(len(word)):
+                for v in range(q.n + 2):
+                    bad = word[:i] + (v,) + word[i + 1:]
+                    expected = is_adapted_by_reflection(q, bad)
+                    assert is_adapted(q, bad) == expected
+                    rejected += not expected
+    assert rejected > 0
 
 
 def test_sink_sequences_need_not_be_reduced():
