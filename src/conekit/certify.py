@@ -1,7 +1,9 @@
 """Desk-scale certification suite.
 
-Each criterion is a self-contained check with an explicit wall-clock budget;
-the test gate and the command-line frontend both run exactly these functions,
+Each criterion is a check with an explicit wall-clock budget; the criteria
+share one `RepContext` per case (`_context`) and one cone report per case
+(`_report`), each built by whichever criterion first needs it. The test
+gate and the command-line frontend both run exactly these functions,
 so a pass here is a pass everywhere. All arithmetic is exact, so every
 criterion is a hard equality check, never a tolerance comparison.
 """
@@ -39,16 +41,13 @@ from .quiverrep import (
     DynkinQuiver,
     RepContext,
     all_orientations,
-    check_superfluous_conjecture,
     enumerate_adapted_words,
     equioriented_a,
-    ktheory_cones,
     quiver_from_arrows,
 )
 from .rootsys import (
     cartan_matrix,
     enumerate_reduced_words,
-    langlands_dual,
     num_positive_roots,
     staircase_word,
 )
@@ -66,7 +65,8 @@ from .tropflag import (
 def _conjecture_cases() -> tuple[tuple[DynkinQuiver, tuple[int, ...]], ...]:
     """All adapted words of every A3 orientation, equioriented A4, one D4.
 
-    Built once per process: criteria 2, 3 and 9 all walk these cases.
+    Built once per process: criteria 2, 3 and 9 all walk these cases, and
+    read each case's context from `_context` and its cones from `_report`.
     """
     cases = []
     for quiver in all_orientations(cartan_matrix("A", 3)):
@@ -79,6 +79,18 @@ def _conjecture_cases() -> tuple[tuple[DynkinQuiver, tuple[int, ...]], ...]:
     d4 = quiver_from_arrows(4, ((1, 2), (3, 2), (4, 2)))
     cases.append((d4, (2, 1, 3, 4) * 3))
     return tuple(cases)
+
+
+@lru_cache(maxsize=None)
+def _context(quiver: DynkinQuiver, word: tuple[int, ...]) -> RepContext:
+    """One `RepContext` per case per process, shared by every criterion."""
+    return RepContext(quiver, word)
+
+
+@lru_cache(maxsize=None)
+def _report(quiver: DynkinQuiver, word: tuple[int, ...]) -> ConeReport:
+    """One cone report per case per process: criteria 2 and 3 both read it."""
+    return check_conjecture(quiver, word, ctx=_context(quiver, word))
 
 
 def _expected_staircase_forms(rank: int) -> set[tuple[int, ...]]:
@@ -120,7 +132,7 @@ def criterion_staircase_cone() -> tuple[bool, dict]:
     for rank in (2, 3, 4):
         quiver = equioriented_a(rank)
         word = staircase_word(rank)
-        ctx = RepContext(quiver, word)
+        ctx = _context(quiver, word)
         cone = degree_cone(quiver, word, ctx=ctx)
         got = {
             normalize_form(_positions_to_pairs(ctx, f)) for f in cone.facets
@@ -140,7 +152,7 @@ def criterion_adapted_equality() -> tuple[bool, dict]:
     verdicts = {}
     ok = True
     for quiver, word in _conjecture_cases():
-        report: ConeReport = check_conjecture(quiver, word)
+        report = _report(quiver, word)
         key = f"{quiver}|{','.join(map(str, word))}"
         verdicts[key] = report.verdict
         ok = ok and report.verdict == "equal"
@@ -150,22 +162,20 @@ def criterion_adapted_equality() -> tuple[bool, dict]:
 def criterion_containment() -> tuple[bool, dict]:
     """Degree cone inside the dual-datum negative cone, ray by ray.
 
-    Checked against the raw defining inequalities rather than through the
-    cone comparison machinery, so a facet-enumeration bug cannot mask a
-    containment bug. `check_conjecture` (criterion 2) decides its verdict
-    from the defining forms and never expands the degree cone, so this is
-    where paper-check meets the degree cone's DD rays.
+    Reads criterion 2's cones from `_report`, and checks the degree cone's
+    own DD rays against the negative cone's raw defining inequalities rather
+    than through the cone comparison machinery, so a facet-enumeration bug
+    cannot mask a containment bug. `check_conjecture` (criterion 2) decides
+    its verdict from the defining forms and never expands the degree cone,
+    so this is where paper-check meets the degree cone's DD rays.
     """
     checked = 0
     ok = True
     witness = None
     for quiver, word in _conjecture_cases():
-        d_cone = degree_cone(quiver, word)
-        neg_forms = [
-            f for f in negative_tight_cone(
-                langlands_dual(quiver.cartan), word
-            ).inequalities
-        ]
+        report = _report(quiver, word)
+        d_cone = report.degree_cone
+        neg_forms = report.negative_cone.inequalities
         for g in with_lines(d_cone.rays, d_cone.lineality):
             for f in neg_forms:
                 checked += 1
@@ -242,7 +252,7 @@ def criterion_hall_agreement() -> tuple[bool, dict]:
     for rank in (2, 3):
         quiver = equioriented_a(rank)
         for word in enumerate_adapted_words(quiver):
-            ctx = RepContext(quiver, word)
+            ctx = _context(quiver, word)
             for k, l in ctx.ext_pairs():
                 comm = q_commutator(
                     rank,
@@ -305,7 +315,7 @@ def criterion_ktheory_duality() -> tuple[bool, dict]:
         n = quiver.n
         big_n = num_positive_roots(quiver.cartan)
         for word in enumerate_adapted_words(quiver):
-            rep = ktheory_cones(quiver, word)
+            rep = _context(quiver, word).ktheory_cones()
             key = f"A{rank}:{','.join(map(str, word))}"
             reports[key] = {
                 "verdict": rep["duality_verdict"],
@@ -332,7 +342,7 @@ def criterion_superfluous() -> tuple[bool, dict]:
     cases = [(equioriented_a(2), w) for w in enumerate_adapted_words(equioriented_a(2))]
     cases += _conjecture_cases()
     for quiver, word in cases:
-        report = check_superfluous_conjecture(quiver, word)
+        report = _context(quiver, word).superfluous_check()
         total_pairs += report["pairs_checked"]
         counterexamples.extend(report["counterexamples"])
     return True, {
@@ -350,7 +360,7 @@ def criterion_tropical() -> tuple[bool, dict]:
         rank = n - 1
         quiver = equioriented_a(rank)
         word = staircase_word(rank)
-        ctx = RepContext(quiver, word)
+        ctx = _context(quiver, word)
         point = degree_cone(quiver, word, ctx=ctx).interior_point()
         d = {
             interval_of_root(b): Fraction(x)

@@ -111,15 +111,27 @@ def root_sum_identity(c: CartanMatrix, word) -> bool:
     )
 
 
+def _context_for(quiver: DynkinQuiver, word, ctx: RepContext | None) -> RepContext:
+    """`ctx` if it was built for this quiver and word, a new one if None."""
+    if ctx is None:
+        return RepContext(quiver, word)
+    if ctx.quiver != quiver or ctx.word != tuple(word):
+        raise ValueError(
+            f"context built for quiver {ctx.quiver} and word {ctx.word}, "
+            f"not for quiver {quiver} and word {tuple(word)}"
+        )
+    return ctx
+
+
 def degree_cone(quiver: DynkinQuiver, word, ctx: RepContext | None = None) -> RationalCone:
     """Inequalities d_k + d_l >= sum n_t d_t over all extension middle terms.
 
     The terms come from `RepContext.oracle_middle_terms`, which walks one
     Ext pair per τ-orbit and carries its terms along the others. Each form
-    is read off the multiplicity vector n: -n, plus 1 at k and at l.
+    is read off the multiplicity vector n: -n, plus 1 at k and at l. A
+    given `ctx` must be the context of this quiver and word (ValueError).
     """
-    if ctx is None:
-        ctx = RepContext(quiver, word)
+    ctx = _context_for(quiver, word, ctx)
     forms = set()
     for (k, l), terms in ctx.oracle_middle_terms():
         for x in terms:
@@ -161,14 +173,17 @@ def _missing_ray_witness(small: RationalCone, big: RationalCone, kind: str) -> d
     return {"kind": kind, "ray": list(ray), f"violated_{what}": list(form)}
 
 
-def check_conjecture(quiver: DynkinQuiver, word) -> ConeReport:
+def check_conjecture(
+    quiver: DynkinQuiver, word, ctx: RepContext | None = None
+) -> ConeReport:
     """Compare the degree cone with the dual-datum negative cone.
 
     The degree cone can never leave the negative cone (that containment is a
     theorem-level invariant); a 'violation' verdict therefore signals an
-    implementation bug and carries an explicit substitution witness.
+    implementation bug and carries an explicit substitution witness. A given
+    `ctx` must be the context of this quiver and word (ValueError).
     """
-    ctx = RepContext(quiver, word)
+    ctx = _context_for(quiver, word, ctx)
     d_cone = degree_cone(quiver, word, ctx=ctx)
     l_cone = negative_tight_cone(langlands_dual(quiver.cartan), word)
     if not l_cone.contains(d_cone):

@@ -15,7 +15,7 @@ pointed cone from every square subsystem of its forms, with no double
 description; `dual_by_second_dd` is the dual of a cone by a second double
 description over its generators, which `RationalCone` replaces by reading
 the dual off the zero sets of its one run. `extension_generators_by_pairs`
-is the all-pairs route to the K-theory generators that
+is the all-pairs route, by whole Hom vectors, to the K-theory generators that
 `RepContext._extension_generators` replaces by the pairs of disjoint
 support; `containment_witness` is the witness search over two expanded
 cones that `ktheory_cones` replaces by the heights of the rays of D^v;
@@ -29,6 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
+from operator import le
 
 from conekit.linalg import dot, nullspace_basis, primitive
 from conekit.polycone import DimensionMismatch, dd_vrep, with_lines
@@ -95,18 +96,23 @@ def degenerates_properly_sparse(ctx, x, u, v) -> bool:
 
 def extension_generators_by_pairs(ctx, bound: int) -> dict[tuple[int, ...], int]:
     """Each primitive y - x over every pair x, y of modules of height at most
-    bound with one dimension vector and `hom_dominated_sparse(x, y)`, mapped
-    to the least height of y where it occurs."""
+    bound with one dimension vector and [U_z, x] <= [U_z, y] for every z,
+    strictly for some, mapped to the least height of y where it occurs.
+
+    Each module's Hom vector ([U_z, m])_z is summed once from `hom_indec`,
+    and every ordered pair of a dimension group compares the two vectors."""
     by_dim: dict[tuple[int, ...], list] = {}
     heights = [(sum(b),) for b in ctx.betas]
-    for m in bounded_multisets((bound,), heights, exact=False):
-        by_dim.setdefault(ctx.dim_vector(m), []).append(m)
     every = range(1, ctx.N + 1)
+    rows = [[ctx.hom_indec(z, t) for t in every] for z in every]
+    for m in bounded_multisets((bound,), heights, exact=False):
+        hom = tuple(dot(row, m) for row in rows)
+        by_dim.setdefault(ctx.dim_vector(m), []).append((m, hom))
     out: dict[tuple[int, ...], int] = {}
     for dim, group in by_dim.items():
-        for x in group:
-            for y in group:
-                if hom_dominated_sparse(ctx, x, y, every):
+        for x, hx in group:
+            for y, hy in group:
+                if hx != hy and all(map(le, hx, hy)):
                     delta = primitive(tuple(b - a for a, b in zip(x, y)))
                     out[delta] = min(sum(dim), out.get(delta, sum(dim)))
     return out

@@ -7,9 +7,9 @@ structured details of the criterion that broke.
 
 import json
 
-import pytest
-
-from conekit.certify import CRITERIA, run_criterion
+from conekit import certify
+from conekit.certify import CRITERIA, run_all, run_criterion
+from conekit.quiverrep import RepContext
 
 
 def _check(number: int) -> None:
@@ -67,3 +67,31 @@ def test_criterion_10_tropical_membership():
 def test_criteria_table_is_complete():
     numbers = [entry[0] for entry in CRITERIA]
     assert numbers == list(range(1, 11))
+
+
+def test_run_all_builds_each_case_once(monkeypatch):
+    # Every criterion reads one shared RepContext per case; a second run in
+    # the same process reads the caches and gives the same results.
+    certify._context.cache_clear()
+    certify._report.cache_clear()
+    built = []
+    init = RepContext.__init__
+
+    def counting_init(self, quiver, word):
+        built.append((quiver, tuple(word)))
+        init(self, quiver, word)
+
+    monkeypatch.setattr(RepContext, "__init__", counting_init)
+    first = run_all()
+    assert first["passed"]
+    assert 0 < len(built) == certify._context.cache_info().currsize
+    second = run_all()
+    assert len(built) == certify._context.cache_info().currsize
+
+    def untimed(out):
+        return [
+            {k: v for k, v in r.items() if k not in ("elapsed_seconds", "within_limit")}
+            for r in out["results"]
+        ]
+
+    assert untimed(second) == untimed(first)

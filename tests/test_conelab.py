@@ -116,6 +116,20 @@ def test_degree_cone_matches_context_reuse():
     assert degree_cone(q, word, ctx).same_cone(degree_cone(q, word))
 
 
+def test_context_of_another_case_is_rejected():
+    q = equioriented_a(3)
+    word = staircase_word(3)
+    d4 = all_orientations(cartan_matrix("D", 4))[0]
+    other_word = next(w for w in enumerate_adapted_words(q) if w != word)
+    for ctx in (RepContext(d4, enumerate_adapted_words(d4)[0]), RepContext(q, other_word)):
+        with pytest.raises(ValueError, match="context built for"):
+            degree_cone(q, word, ctx=ctx)
+        with pytest.raises(ValueError, match="context built for"):
+            check_conjecture(q, word, ctx=ctx)
+    shared = check_conjecture(q, list(word), ctx=RepContext(q, word))
+    assert shared.to_dict() == check_conjecture(q, word).to_dict()
+
+
 def test_check_conjecture_staircase():
     report = check_conjecture(equioriented_a(3), staircase_word(3))
     assert report.verdict == "equal"
