@@ -24,7 +24,9 @@ triangle autoequivalence), re-checking every carried term; `middle_terms`
 still walks any single pair. `hom_leq_strict`, the filter mode and the
 K-theory generators compare Hom dimensions by the same packed sums. The
 K-theory verdicts and witness come from the rays of the dual Hom-functional
-cone, each with its height.
+cone, each with its height: the AR mesh vectors, certified in integers as
+the basis dual to the Hom functionals, with no DD. The module walk then
+goes only as high as the verdict needs.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from math import gcd, lcm
 from operator import add, le, mul, sub
 
 from . import rootsys
-from .linalg import dot, nullspace_basis, pack, primitive, rank
+from .linalg import dot, nullspace_basis, pack, primitive
 from .polycone import DimensionMismatch, RationalCone
 from .rootsys import (
     CapExceeded,
@@ -711,20 +713,53 @@ class RepContext:
 
     # -- Grothendieck-group cones ------------------------------------------
 
+    def mesh_vectors(self) -> dict[int, Mult]:
+        """r_m = e_m + e_τm - Σ e_p over the mesh arrows p -> m, the class of
+        the AR sequence ending at U_m, for each of the N - n non-projective
+        m in order.
+
+        [U_l, r_m] = δ_lm for every pair of non-projectives l, m, read from
+        `hom_indec` in integers, or ConsistencyFailure: Hom(U_l, -) is exact
+        on the AR sequence ending at U_m except at l = m, where it loses one
+        dimension (Auslander-Reiten-Smalø 1995, ch. IV-V).
+        """
+        if len(self.translation) != self.N - self.n:
+            raise ConsistencyFailure(
+                f"{len(self.translation)} non-projectives, expected {self.N - self.n}")
+        terms = {m: [(m, 1), (k, 1)] for m, k in sorted(self.translation.items())}
+        for p, m in self.arrows:
+            if m in terms:
+                terms[m].append((p, -1))
+        out = {}
+        for m, support in terms.items():
+            for l in terms:
+                got = sum(x * self.hom_indec(l, t) for t, x in support)
+                if got != (l == m):
+                    raise ConsistencyFailure(
+                        f"[U_{l}, r_{m}] = {got}, expected {int(l == m)}: the Hom "
+                        f"functionals and the mesh vectors are not dual bases")
+            r = [0] * self.N
+            for t, x in support:
+                r[t - 1] += x
+            out[m] = tuple(r)
+        return out
+
     def _extension_generators(self, bound: int) -> dict[Mult, int]:
         """Each y - x of a proper degeneration x < y of modules of height at
         most bound with disjoint supports and gcd(y - x) = 1, mapped to the
         height of y.
 
-        One walk to the bound; each module is packed from `_packing`, its
-        dimension fields and then its Hom fields, at a width where no field
-        of a module of height h <= bound (at most theta . dim, so at most
-        max(theta) h) reaches the guard bit. Modules are grouped by their
-        dimension fields, and packed again inside their group: keeping every
-        packed sum until the groups are done would hold one more int per
-        module at the peak. In a group every module is nonzero, so two of
-        disjoint support differ, and their Hom fields differ too (the Hom
-        table is unitriangular): the guard-bit test is then strict.
+        One walk to the bound: `ktheory_cones` asks for b, or for b + 1 only
+        when `stabilized` needs E_{b+1}. Each module is packed from
+        `_packing`, its dimension fields and then its Hom fields, at a width
+        where no field of a module of height h <= bound (at most
+        theta . dim, so at most max(theta) h) reaches the guard bit. Modules
+        are grouped by their dimension fields, and packed again inside their
+        group: keeping every packed sum until the groups are done would hold
+        one more int per module at the peak. In a group every module is
+        nonzero, so two of disjoint support differ, and their Hom fields
+        differ too (the Hom table is unitriangular): the guard-bit test is
+        then strict.
         """
         width = (max(highest_root(self.quiver.cartan)) * bound).bit_length() + 1
         guard, table = self._packing(width)
@@ -764,15 +799,16 @@ class RepContext:
         for d in D}, where D holds the Hom functionals [U_k, -] of the
         non-projective indecomposables U_k, restricted to K.
 
-        D is a basis of the dual of K. The N functionals [U_z, -] form a
-        unitriangular matrix, so they are a basis of the dual of Q^N. For a
-        projective P, [P, -] is the Euler form with dim P, linear in the
-        dimension vector, and the n projectives have independent dimension
-        vectors: their functionals span the forms vanishing on K. Restricted
-        to K, the other m functionals therefore span its dual, and are a
-        basis of it. So D^v is simplicial and pointed, with m extreme rays,
-        expanded from its m forms in dimension m (one DD at most). A rank
-        below m raises ConsistencyFailure.
+        D^v is the simplicial cone on the mesh vectors, with no DD. For a
+        non-projective U_m, r_m = e_m + e_τm - Σ_{p->m} e_p is the class of
+        the AR sequence ending at U_m (`mesh_vectors`). Its dimension vector
+        is 0 by `_validate`'s mesh sums, so r_m lies in K, and
+        `mesh_vectors` checks [U_l, r_m] = δ_lm for the non-projectives l in
+        integers, or raises ConsistencyFailure. So D.R = I: the m vectors
+        r_m are independent in K, which has rank m, hence a basis of it, and
+        D restricted to K is the dual basis. A point c of K is then
+        Σ_l (d_l . c) r_l, so D^v = {c : D c >= 0} is the cone on the r_m,
+        simplicial and pointed, with the r_m as its extreme rays.
 
         (a) E_b lies in D^v: y - x has [U_z, y - x] >= 0 for every z.
         (b) A nonzero primitive r of K in D^v is itself a generator, from the
@@ -786,7 +822,8 @@ class RepContext:
             x and y, so ht(y) >= c ht(r+) >= ht(r+); by (b), (r-, r+) is
             such a pair.
 
-        Let B* be the largest ht(r+) over the rays of D^v. By (a) and (c),
+        Let B* be the largest ht(r+) over the rays of D^v, where
+        ht(r_m+) = ht U_m + ht τU_m (0 when m = 0). By (a) and (c),
         E_b = D^v, the verdict `equal`, exactly when b >= B*; below it the
         witness is the first sorted ray of D^v with ht(r+) > b. `stabilized`
         says that E_{b+1} = E_b: true for b >= B*, where both are D^v; false
@@ -798,9 +835,11 @@ class RepContext:
 
         By (b), the generators need only the pairs of disjoint support with
         gcd(y - x) = 1; a pair sharing a summand or with a common factor
-        gives a multiple of one of those, at a greater height. One walk to
-        height b + 1 gives the generators of E_b and E_{b+1}
-        (`_extension_generators`).
+        gives a multiple of one of those, at a greater height. One walk
+        (`_extension_generators`) gives them, only as high as the verdict
+        needs: to height b when b >= B* or some ray has height b + 1, where
+        the ray heights decide `stabilized`; to b + 1 otherwise, for the
+        generators of E_{b+1}.
         """
         if bound is None:
             bound = self.default_ktheory_bound()
@@ -813,15 +852,23 @@ class RepContext:
         # 0; coordinates are scaled by `scale`, harmless for cone comparisons.
         free = [max(i for i, x in enumerate(b) if x) for b in lam]
         scale = lcm(*(b[c] for b, c in zip(lam, free)))
+        columns = [tuple(b[i] for b in lam) for i in range(self.N)]
 
         def to_lambda(vec) -> tuple[int, ...]:
             coeffs = [vec[c] * scale // b[c] for b, c in zip(lam, free)]
-            rebuilt = [sum(x * b[i] for x, b in zip(coeffs, lam)) for i in range(self.N)]
+            rebuilt = [sum(map(mul, coeffs, col)) for col in columns]
             if rebuilt != [scale * x for x in vec]:
                 raise ConsistencyFailure(f"{vec} is not in the dimension kernel")
             return primitive(tuple(coeffs))
 
-        deltas = self._extension_generators(bound + 1)
+        heights = [sum(b) for b in self.betas]
+        rays = sorted(  # D^v's extreme rays, each with ht(r+)
+            (to_lambda(r), heights[m - 1] + heights[self.translation[m] - 1])
+            for m, r in self.mesh_vectors().items())
+        ray_heights = {h for _, h in rays}
+        top = max(ray_heights, default=0)  # B*
+        walk = bound if bound >= top or bound + 1 in ray_heights else bound + 1
+        deltas = self._extension_generators(walk)
         e_gens = sorted({to_lambda(d) for d, height in deltas.items() if height <= bound})
         if not e_gens:
             raise ValueError(f"no extension generators below the bound {bound}")
@@ -830,19 +877,9 @@ class RepContext:
             functional = [self.hom_indec(k, l) for l in range(1, self.N + 1)]
             d_gens.append(tuple(dot(functional, b) for b in lam))
         m = self.N - self.n
-        if len(d_gens) != m or rank(d_gens) != m:
-            raise ConsistencyFailure(
-                f"the {len(d_gens)} Hom functionals of the non-projectives have "
-                f"rank {rank(d_gens)} on the dimension kernel, expected {m}")
-        rays = RationalCone.from_inequalities(m, d_gens).rays
-        heights = []  # ht(r+) of the primitive multiplicity vector on each ray
-        for r in rays:
-            vec = primitive([dot(r, col) for col in zip(*lam)])
-            heights.append(sum(x * sum(b) for x, b in zip(vec, self.betas) if x > 0))
-        top = max(heights)  # B*
         if bound >= top:
             stabilized = True  # E_bound and E_{bound+1} are both D^v
-        elif bound + 1 in heights:
+        elif bound + 1 in ray_heights:
             stabilized = False  # E_{bound+1} holds a ray of D^v that E_bound misses
         else:
             e_next = set(e_gens) | {to_lambda(d) for d, h in deltas.items() if h > bound}
@@ -860,7 +897,7 @@ class RepContext:
             "duality_verdict": "equal" if bound >= top else "not_equal",
         }
         if bound < top:
-            ray = next(r for r, h in zip(rays, heights) if h > bound)
+            ray = next(r for r, h in rays if h > bound)
             report["witness"] = {"ray_of": "D_dual", "ray": list(ray)}
         return report
 

@@ -189,6 +189,20 @@ def test_ktheory_bound_out_of_range_exits_one(capsys):
         assert err == f"conekit: error: {message}\n"
 
 
+def test_ktheory_walks_to_the_bound_above_b_star(capsys):
+    # A3's B* is 4, so at bound 25 the module walk stops at 25, under the
+    # cap; at bound 26 that walk trips it.
+    argv = ["quiver", "ktheory", "--quiver", "1>2,2>3", "--word", "3,2,3,1,2,3", "--bound"]
+    code, out, _ = _invoke(capsys, argv + ["25"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["duality_verdict"] == "equal" and result["stabilized"] is True
+    code, out, err = _invoke(capsys, argv + ["26"])
+    assert code == 1
+    assert out == ""
+    assert err == "conekit: error: more than 100000 modules to enumerate\n"
+
+
 def test_roots_words_rejects_large_types_up_front(capsys):
     for name in ("D5", "F4", "E6", "E7", "E8"):
         start = time.perf_counter()

@@ -4,8 +4,9 @@ The digests below were recorded before the packed filling walk, the sparse
 degeneration test and the integer-only cone arithmetic replaced the older
 tuple and `Fraction` routes; the same inputs must keep producing the same
 JSON. The K-theory digest also predates the packed Hom comparison, the
-single walk for both bounds, the elimination-free kernel coordinates and
-the verdicts read off the rays of D^v.
+single walk for both bounds, the elimination-free kernel coordinates, the
+verdicts read off the rays of D^v and those rays read off the AR mesh
+vectors.
 The E7 digest predates the Hom budget inside the filling walk, the packed
 degeneration test and the fraction-free row reduction. The slow routes stay
 in `engine_oracle.py` as references.
@@ -316,14 +317,92 @@ def test_ktheory_verdicts_match_extension_cone_dd(family, rank):
 
 
 def test_dependent_hom_functionals_raise():
-    # A non-projective Hom functional patched to zero leaves D dependent,
-    # which the independence proof rules out: a program fault, not a verdict.
+    # A non-projective Hom functional patched to zero vanishes on its own
+    # mesh vector, so D.R = I fails: a program fault, not a verdict.
     quiver = all_orientations(cartan_matrix("A", 4))[1]
     ctx = RepContext(quiver, first_adapted_word(quiver))
     victim, hom = max(ctx.translation), ctx.hom_indec
     ctx.hom_indec = lambda k, l: 0 if k == victim else hom(k, l)
-    with pytest.raises(ConsistencyFailure, match="rank 5 on the dimension kernel, expected 6"):
+    with pytest.raises(ConsistencyFailure,
+                       match=r"\[U_10, r_10\] = 0, expected 1: .* not dual bases"):
         ctx.ktheory_cones()
+
+
+@pytest.mark.parametrize("family, n", [("A", 2), ("A", 3), ("A", 4), ("D", 4)])
+def test_mesh_rays_match_dual_dd(family, n):
+    # The mesh vectors in lambda-coordinates, read at each basis vector's
+    # own free column, are exactly the rays of D^v's DD, from m independent
+    # forms, on every case that the extension cone's DD checks.
+    for quiver, word in _ktheory_dd_cases(family, n):
+        ctx = RepContext(quiver, word)
+        report = ctx.ktheory_cones()
+        m, lam = report["lambda_rank"], report["lambda_basis"]
+        assert rank(report["D_generators"]) == m
+        free = [max(i for i, x in enumerate(b) if x) for b in lam]
+        mesh = sorted(integerize([Fraction(r[c], b[c]) for b, c in zip(lam, free)])
+                      for r in ctx.mesh_vectors().values())
+        assert tuple(mesh) == RationalCone.from_inequalities(m, report["D_generators"]).rays
+
+
+# First orientation, with the `sink_walk` word of perfbench/workloads.py
+# from random.Random(0), and B* read off the mesh vectors alone.
+SINK_WALK_B_STAR = {
+    ("D", 5): ("4,5,3,5,2,1,4,3,2,1,5,4,3,4,2,5,3,1,2,1", 12),
+    ("E", 6): ("6,5,4,6,2,3,1,5,4,6,3,5,6,2,1,4,3,1,2,5,6,4,2,3,5,1,4,2,6,5,6,3,4,2,"
+               "5,6", 21),
+    ("E", 7): ("7,6,5,4,7,2,3,1,6,5,4,3,2,1,7,6,7,5,6,4,5,3,1,2,7,4,2,6,3,1,7,5,6,7,"
+               "4,2,5,3,6,1,7,4,3,2,1,5,6,7,4,2,5,3,1,6,4,2,3,1,5,4,2,3,1", 33),
+    ("E", 8): ("8,7,6,5,8,4,2,3,1,7,6,5,8,7,8,6,4,5,3,1,2,7,4,3,1,6,8,5,2,4,7,3,6,5,"
+               "1,8,2,4,3,1,7,2,6,8,5,4,3,7,8,1,2,6,7,8,5,6,7,8,4,5,2,6,7,3,1,4,2,8,"
+               "5,3,1,6,7,8,4,2,5,6,3,7,8,4,2,5,6,7,8,1,3,4,2,1,5,3,4,2,6,5,1,7,6,8,"
+               "3,4,2,7,1,5,3,4,6,1,2,5,3,1,4,2,3,1", 57),
+}
+
+
+@pytest.mark.parametrize("family, n", sorted(SINK_WALK_B_STAR))
+def test_b_star_from_mesh_vectors(family, n):
+    # No module walk: each ray r_m has ht(r_m+) = ht U_m + ht tau U_m, and
+    # B* is the largest of them.
+    word, b_star = SINK_WALK_B_STAR[family, n]
+    ctx = RepContext(all_orientations(cartan_matrix(family, n))[0],
+                     tuple(map(int, word.split(","))))
+    heights = [sum(b) for b in ctx.betas]
+    mesh = ctx.mesh_vectors()
+    assert len(mesh) == ctx.N - ctx.n
+    tops = [sum(x * h for x, h in zip(r, heights) if x > 0) for r in mesh.values()]
+    assert tops == [heights[m - 1] + heights[ctx.translation[m] - 1] for m in mesh]
+    assert max(tops) == b_star
+
+
+D4_STAR = quiverrep.parse_quiver("1>2,3>2,4>2")
+
+
+@pytest.mark.parametrize("quiver, word, bound, walked", [
+    # b >= B* = 6: `stabilized` is True with no look past b.
+    (equioriented_a(4), staircase_word(4), None, 8),
+    # B* = 9 and a ray has height b + 1 = 9: `stabilized` is False.
+    (D4_STAR, (2, 1, 3, 4) * 3, 8, 8),
+    # No ray has height 8: `stabilized` needs the generators of E_8.
+    (D4_STAR, (2, 1, 3, 4) * 3, 7, 8),
+])
+def test_ktheory_walks_only_as_high_as_the_verdict_needs(monkeypatch, quiver, word,
+                                                         bound, walked):
+    bounds, walk = [], RepContext._extension_generators
+
+    def spy(self, height):
+        bounds.append(height)
+        return walk(self, height)
+
+    monkeypatch.setattr(RepContext, "_extension_generators", spy)
+    ktheory_cones(quiver, word, bound)
+    assert bounds == [walked]
+
+
+def test_ktheory_without_non_projectives_keeps_its_error():
+    # A1 has no non-projective, so D^v has no ray; the walk to the default
+    # bound 2 finds no generator.
+    with pytest.raises(ValueError, match="^no extension generators below the bound 2$"):
+        ktheory_cones(quiverrep.quiver_from_arrows(1, []), (1,))
 
 
 # -- packed degeneration test against the sparse reference --------------------
@@ -712,10 +791,10 @@ def test_one_dd_per_cone(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     report = ktheory_cones(equioriented_a(4), staircase_word(4))
-    # Only D^v expands, by one DD of its m forms in dimension m: at the
-    # default bound the verdicts come from the heights of its rays.
+    # D^v's rays are the mesh vectors, certified by D.R = I, and at the
+    # default bound the verdicts come from their heights: no DD at all.
     assert report["duality_verdict"] == "equal"
-    assert calls == [report["lambda_rank"]]
+    assert calls == []
 
 
 @pytest.mark.parametrize("family, rank", [("A", 6), ("D", 5)])
