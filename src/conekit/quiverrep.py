@@ -2,11 +2,14 @@
 
 Everything here is matrix-free: a module is a multiplicity vector over the
 directed enumeration U_1..U_N of indecomposables attached to an adapted
-reduced word. `RepContext` tabulates `euler_form` once for every ordered
-pair of indecomposables; by directedness that one table gives all Hom and
-Ext dimensions. The mesh structure (arrows, translation, path order) is
-rebuilt combinatorially from the word and cross-validated against the Euler
-form; any disagreement raises ConsistencyFailure rather than guessing.
+reduced word. `RepContext` tabulates the Euler form of every ordered pair
+of indecomposables in packed rows (`_euler_table`): the row of each root
+from `_euler_row`, the one row helper that `euler_form` also dots, times
+the roots' packed columns, n multiply-adds per root. By directedness that
+one table gives all Hom and Ext dimensions. The mesh structure (arrows,
+translation, path order) is rebuilt combinatorially from the word and
+cross-validated against the Euler form; any disagreement raises
+ConsistencyFailure rather than guessing.
 
 One capped walk, `_fillings`, enumerates modules: middle-term fillings, and
 through `bounded_multisets` the K-theory modules of bounded height. It
@@ -31,6 +34,7 @@ goes only as high as the verdict needs.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -307,14 +311,49 @@ def _fillings(target: int, columns: list[int], places, size: int, width: int,
     return out
 
 
+def _euler_row(quiver: DynkinQuiver, d) -> list[int]:
+    """(<d, e_v>)_v = d_v - sum of d_s over the arrows s -> v."""
+    row = list(d)
+    for s, t in quiver.arrows:
+        row[t - 1] -= d[s - 1]
+    return row
+
+
 def euler_form(quiver: DynkinQuiver, d, e) -> int:
-    """<d, e> = sum d_v e_v - sum over arrows d_src e_tgt."""
+    """<d, e> = sum d_v e_v - sum over arrows d_src e_tgt: the row
+    (<d, e_v>)_v of `_euler_row` dotted with e."""
     n = quiver.n
     if len(d) != n or len(e) != n:
         raise ValueError(f"dimension vectors must have length {n}")
-    total = sum(d[v] * e[v] for v in range(n))
-    total -= sum(d[s - 1] * e[t - 1] for s, t in quiver.arrows)
-    return total
+    return dot(_euler_row(quiver, d), e)
+
+
+def _euler_table(quiver: DynkinQuiver, betas) -> tuple[tuple[int, ...], ...]:
+    """<beta_k, beta_l> for every ordered pair, one packed row per k.
+
+    Column v of the roots, (beta_l[v])_l, is packed once, one nb-byte field
+    per l. Row k is then half + sum_v a_k[v] col_v for a_k = `_euler_row` of
+    beta_k: n multiply-adds, where `half` puts 2^(8 nb - 1) in every field.
+    As |<beta_k, beta_l>| <= sum_v |a_k[v]| max_l |beta_l[v]| (theta_v for
+    the positive roots), nb is the least of 1, 2, 4, 8 bytes whose signed
+    range holds that bound; then every field stays in [0, 2^(8 nb)), and
+    xor with `half` leaves each in two's complement, read back by a
+    memoryview cast. No such nb raises ConsistencyFailure.
+    """
+    rows = [_euler_row(quiver, b) for b in betas]
+    cols = list(zip(*betas))
+    tops = [max(map(abs, col)) for col in cols]
+    bound = max((sum(map(mul, map(abs, row), tops)) for row in rows), default=0)
+    nb = next((nb for nb in (1, 2, 4, 8) if bound < 1 << 8 * nb - 1), None)
+    if nb is None:
+        raise ConsistencyFailure(f"Euler form bound {bound} does not fit 8 bytes")
+    width, size, fmt = 8 * nb, nb * len(betas), "bhiq"[nb.bit_length() - 1]
+    packed = [pack(col, width) for col in cols]
+    half = pack([1 << width - 1] * len(betas), width)
+    return tuple(
+        tuple(memoryview((sum(map(mul, row, packed), half) ^ half).to_bytes(
+            size, sys.byteorder)).cast(fmt))
+        for row in rows)
 
 
 class RepContext:
@@ -333,21 +372,17 @@ class RepContext:
         self.betas = beta_sequence(quiver.cartan, word)
         self.N = len(word)
         self.n = quiver.cartan.rank
-        # Euler form of every ordered pair, from one row <beta, e_v>_v per
-        # root; directedness makes it Hom on and above the diagonal and minus
-        # Ext1 below it.
-        units = [tuple(int(v == w) for w in range(self.n)) for v in range(self.n)]
-        self._euler = tuple(
-            tuple(dot(row, c) for c in self.betas)
-            for row in ([euler_form(quiver, b, e) for e in units] for b in self.betas)
-        )
+        # Euler form of every ordered pair; directedness makes it Hom on and
+        # above the diagonal and minus Ext1 below it.
+        self._euler = _euler_table(quiver, self.betas)
         self.translation = {l: k for k, l in tight_pairs(word)}
         self.projectives = tuple(
             p for p in range(1, self.N + 1) if p not in self.translation
         )
         later = set(self.translation.values())
         self.injectives = tuple(p for p in range(1, self.N + 1) if p not in later)
-        self._units = tuple(tuple(int(t == k) for t in range(self.N)) for k in range(self.N))
+        zeros = (0,) * self.N
+        self._units = tuple(zeros[:k] + (1,) + zeros[k + 1:] for k in range(self.N))
         self.arrows = self._mesh_arrows()
         self._reach = self._reachability()
         self._validate()
@@ -356,9 +391,8 @@ class RepContext:
         # 2 theta . theta sizes every field of an extension of two roots.
         theta = highest_root(quiver.cartan)
         self._caps = tuple(dot(theta, b) for b in self.betas)
-        ids = range(1, self.N + 1)
-        self._fields = [b + tuple(self.hom_indec(z, t) for z in ids)
-                        for t, b in zip(ids, self.betas)]
+        self._fields = [b + col[:t] + zeros[t:] for t, (b, col) in
+                        enumerate(zip(self.betas, zip(*self._euler)), start=1)]
         self._packings: dict[int, tuple[int, list[int]]] = {}
         self._width = (2 * dot(theta, theta)).bit_length() + 1
         # the walk's table, and its dimension fields alone for filter/relaxed
@@ -402,16 +436,17 @@ class RepContext:
     # -- mesh structure ----------------------------------------------------
 
     def _mesh_arrows(self) -> tuple[tuple[int, int], ...]:
+        """(k, l) for each neighbour v of letter k whose next position after
+        k is l, from one backward pass that keeps each letter's next
+        position."""
+        neighbors = [()] + [self.quiver.neighbors(v) for v in range(1, self.n + 1)]
+        following = [0] * (self.n + 1)  # the next position of each letter
         arrows = []
-        for k in range(1, self.N + 1):
-            for v in self.quiver.neighbors(self.word[k - 1]):
-                l = next(
-                    (t for t in range(k + 1, self.N + 1) if self.word[t - 1] == v),
-                    None,
-                )
-                if l is not None:
-                    arrows.append((k, l))
-        return tuple(sorted(set(arrows)))
+        for k in range(self.N, 0, -1):
+            letter = self.word[k - 1]
+            arrows += [(k, following[v]) for v in neighbors[letter] if following[v]]
+            following[letter] = k
+        return tuple(sorted(arrows))
 
     def _reachability(self):
         succ = {k: set() for k in range(1, self.N + 1)}
@@ -428,16 +463,20 @@ class RepContext:
         return l in self._reach[k]
 
     def _validate(self):
-        for k in range(1, self.N + 1):
-            for l in range(k, self.N + 1):
-                if self.hom_indec(k, l) < 0:
-                    raise ConsistencyFailure(
-                        f"negative Hom dimension at ({k},{l}): enumeration not directed"
-                    )
-                if l > k and self.ext_indec(l, k) < 0:
-                    raise ConsistencyFailure(
-                        f"negative Ext dimension at ({l},{k}): enumeration not directed"
-                    )
+        table = self._euler
+        # row k is Hom from the diagonal on, column k minus Ext1 below it
+        if not all(min(row[k:]) >= 0 and max(col[k + 1:], default=0) <= 0
+                   for k, (row, col) in enumerate(zip(table, zip(*table)))):
+            for k in range(1, self.N + 1):  # name the first failing pair
+                for l in range(k, self.N + 1):
+                    if self.hom_indec(k, l) < 0:
+                        raise ConsistencyFailure(
+                            f"negative Hom dimension at ({k},{l}): enumeration not directed"
+                        )
+                    if l > k and self.ext_indec(l, k) < 0:
+                        raise ConsistencyFailure(
+                            f"negative Ext dimension at ({l},{k}): enumeration not directed"
+                        )
         for k, l in self.arrows:
             if not k < l:
                 raise ConsistencyFailure(f"mesh arrow {k}->{l} does not ascend")
@@ -451,11 +490,8 @@ class RepContext:
         for m, k in self.translation.items():
             mesh_sum = [0] * self.n
             for p in preds[m]:
-                for i in range(self.n):
-                    mesh_sum[i] += self.betas[p - 1][i]
-            expected = [
-                self.betas[k - 1][i] + self.betas[m - 1][i] for i in range(self.n)
-            ]
+                mesh_sum = list(map(add, mesh_sum, self.betas[p - 1]))
+            expected = list(map(add, self.betas[k - 1], self.betas[m - 1]))
             if mesh_sum != expected:
                 raise ConsistencyFailure(
                     f"mesh ending at {m} sums to {mesh_sum}, expected {expected}"

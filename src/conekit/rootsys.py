@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import index
 
 RootVector = tuple[int, ...]
 Word = tuple[int, ...]
@@ -243,7 +244,17 @@ def beta_sequence(c: CartanMatrix, word: Word) -> tuple[RootVector, ...]:
     >>> a2 = cartan_matrix("A", 2)
     >>> beta_sequence(a2, (1, 2, 1))
     ((1, 0), (1, 1), (0, 1))
+
+    The walk is cached per (Cartan matrix, word), so a `RepContext` and the
+    cones of one word share it; errors are not cached and raise again. The
+    key holds the letters as ints, so a float word, equal to an int word as
+    a key, raises TypeError whether or not that word is cached.
     """
+    return _beta_sequence(c, tuple(map(index, word)))
+
+
+@lru_cache(maxsize=256)
+def _beta_sequence(c: CartanMatrix, word: Word) -> tuple[RootVector, ...]:
     n = c.rank
     for t, letter in enumerate(word, start=1):
         if not 1 <= letter <= n:

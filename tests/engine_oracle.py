@@ -20,8 +20,11 @@ is the all-pairs route, by whole Hom vectors, to the K-theory generators that
 support; `containment_witness` is the witness search over two expanded
 cones that `ktheory_cones` replaces by the heights of the rays of D^v;
 `is_adapted_by_reflection` builds every reflected quiver, where
-`quiverrep.is_adapted` keeps arrow counts. The tests compare each fast path
-against these.
+`quiverrep.is_adapted` keeps arrow counts. `euler_table_by_pairs` calls
+`euler_form` on every ordered pair of roots, where `RepContext` reads each
+row off packed columns, and `mesh_arrows_by_scan` scans forward for each
+neighbour's next position, where `RepContext` makes one backward pass. The
+tests compare each fast path against these.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from operator import le
 
 from conekit.linalg import dot, nullspace_basis, primitive
 from conekit.polycone import DimensionMismatch, dd_vrep, with_lines
-from conekit.quiverrep import bounded_multisets
+from conekit.quiverrep import bounded_multisets, euler_form
 
 
 def is_adapted_by_reflection(quiver, word) -> bool:
@@ -44,6 +47,23 @@ def is_adapted_by_reflection(quiver, word) -> bool:
             return False
         q = q.reflected(letter)
     return True
+
+
+def euler_table_by_pairs(quiver, betas) -> tuple[tuple[int, ...], ...]:
+    """<beta_k, beta_l> from `euler_form` for every ordered pair."""
+    return tuple(tuple(euler_form(quiver, b, c) for c in betas) for b in betas)
+
+
+def mesh_arrows_by_scan(ctx) -> tuple[tuple[int, int], ...]:
+    """(k, l) for each neighbour v of letter k, with l the first later
+    position of v: one forward scan per (k, v)."""
+    arrows = []
+    for k in range(1, ctx.N + 1):
+        for v in ctx.quiver.neighbors(ctx.word[k - 1]):
+            l = next((t for t in range(k + 1, ctx.N + 1) if ctx.word[t - 1] == v), None)
+            if l is not None:
+                arrows.append((k, l))
+    return tuple(sorted(set(arrows)))
 
 
 def brute_multisets(target, columns, exact: bool = True) -> list[tuple[int, ...]]:

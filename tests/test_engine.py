@@ -49,9 +49,11 @@ from engine_oracle import (
     containment_witness,
     degenerates_properly_sparse,
     dual_by_second_dd,
+    euler_table_by_pairs,
     extension_generators_by_pairs,
     hom_dominated_sparse,
     integerize_by_fractions,
+    mesh_arrows_by_scan,
     middle_terms_by_filter,
     nullspace_by_fractions,
     rank_by_fractions,
@@ -372,6 +374,46 @@ def test_b_star_from_mesh_vectors(family, n):
     tops = [sum(x * h for x, h in zip(r, heights) if x > 0) for r in mesh.values()]
     assert tops == [heights[m - 1] + heights[ctx.translation[m] - 1] for m in mesh]
     assert max(tops) == b_star
+
+
+def sink_walk_word(quiver, rng) -> tuple[int, ...]:
+    """The `sink_walk` word of perfbench/workloads.py: sinks tried in an
+    order shuffled by rng at each step."""
+    def shuffled(sinks):
+        sinks = list(sinks)
+        rng.shuffle(sinks)
+        return sinks
+    return first_adapted_word(quiver, shuffled)
+
+
+def _table_cases():
+    for family, rank in [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5)]:
+        for quiver in all_orientations(cartan_matrix(family, rank)):
+            yield quiver, sink_walk_word(quiver, random.Random(0))
+    for rank in (6, 7, 8):
+        word = SINK_WALK_B_STAR["E", rank][0]
+        yield all_orientations(cartan_matrix("E", rank))[0], tuple(map(int, word.split(",")))
+    yield equioriented_a(16), staircase_word(16)  # N = 136
+
+
+def test_context_tables_match_the_pairwise_routes():
+    # The packed Euler rows, the one-pass mesh arrows, and the Hom fields
+    # read off the table's columns, against euler_form on every pair, a
+    # forward scan per neighbour and hom_indec one entry at a time.
+    for quiver, word in _table_cases():
+        ctx = RepContext(quiver, word)
+        every = range(1, ctx.N + 1)
+        assert ctx._euler == euler_table_by_pairs(quiver, ctx.betas)
+        assert ctx.arrows == mesh_arrows_by_scan(ctx)
+        assert ctx._fields == [b + tuple(ctx.hom_indec(z, t) for z in every)
+                               for t, b in zip(every, ctx.betas)]
+        assert ctx._units == tuple(tuple(int(t == k) for t in every) for k in every)
+
+
+def test_sink_walk_word_is_the_benchmark_word():
+    for (family, rank), (word, _) in SINK_WALK_B_STAR.items():
+        quiver = all_orientations(cartan_matrix(family, rank))[0]
+        assert sink_walk_word(quiver, random.Random(0)) == tuple(map(int, word.split(",")))
 
 
 D4_STAR = quiverrep.parse_quiver("1>2,3>2,4>2")

@@ -4,8 +4,10 @@ from conekit import rootsys
 from conekit.polycone import DimensionMismatch
 from conekit.rootsys import CapExceeded, NotReduced, cartan_matrix
 from conekit.quiverrep import (
+    ConsistencyFailure,
     NotAdapted,
     RepContext,
+    _euler_table,
     all_orientations,
     check_superfluous_conjecture,
     enumerate_adapted_words,
@@ -16,7 +18,7 @@ from conekit.quiverrep import (
     parse_quiver,
     quiver_from_arrows,
 )
-from engine_oracle import is_adapted_by_reflection
+from engine_oracle import euler_table_by_pairs, is_adapted_by_reflection
 
 STAIR3 = (3, 2, 3, 1, 2, 3)
 
@@ -123,6 +125,52 @@ def test_euler_form_values():
         assert euler_form(q, beta, beta) == 1
     with pytest.raises(ValueError):
         euler_form(q, (1, 0), (0, 1, 0))
+
+
+@pytest.mark.parametrize("top", [1, 2**5, 2**12, 2**25])
+def test_euler_table_at_each_field_width(top):
+    # Made-up roots with an entry of `top`: their bounds (5, 2080, about
+    # 2^25 and 2^51) need fields of 1, 2, 4 and 8 bytes, and the memoryview
+    # cast must read back both signs in each of the four formats.
+    q = equioriented_a(3)
+    roots = [(top, 0, 1), (1, top, 0), (0, 1, top), (2, 1, 1), (0, 0, 1)]
+    table = _euler_table(q, roots)
+    assert table == euler_table_by_pairs(q, roots)
+    assert min(map(min, table)) < 0 < max(map(max, table))
+
+
+def test_euler_table_width_guard():
+    # No 8-byte field holds a bound near 2^140: a ConsistencyFailure, under
+    # python -O too, never a StopIteration from the width search.
+    with pytest.raises(ConsistencyFailure, match="does not fit 8 bytes"):
+        _euler_table(equioriented_a(2), [(1, 0), (2**70, 1)])
+
+
+def _tamper(ctx: RepContext, entries: dict) -> RepContext:
+    table = [list(row) for row in ctx._euler]
+    for (k, l), x in entries.items():
+        table[k - 1][l - 1] = x
+    ctx._euler = tuple(map(tuple, table))
+    return ctx
+
+
+# Each message recorded from the pairwise loop over (k, l), k <= l, that
+# checks Hom(U_k, U_l) and then Ext1(U_l, U_k) for every pair.
+@pytest.mark.parametrize("entries, message", [
+    ({(2, 4): -1}, "negative Hom dimension at (2,4): enumeration not directed"),
+    ({(3, 3): -1}, "negative Hom dimension at (3,3): enumeration not directed"),
+    ({(4, 2): 1}, "negative Ext dimension at (4,2): enumeration not directed"),
+    ({(1, 4): -1, (3, 1): 1}, "negative Ext dimension at (3,1): enumeration not directed"),
+    ({(2, 3): -1, (5, 1): 1}, "negative Ext dimension at (5,1): enumeration not directed"),
+    ({(5, 6): -1, (6, 2): 1, (3, 5): -1},
+     "negative Ext dimension at (6,2): enumeration not directed"),
+    ({(2, 4): 0}, "mesh arrow 2->4 but Hom(U_2,U_4) = 0"),
+])
+def test_validate_names_the_first_failing_pair(entries, message):
+    ctx = _tamper(_staircase_ctx(), entries)
+    with pytest.raises(ConsistencyFailure) as info:
+        ctx._validate()
+    assert str(info.value) == message
 
 
 def test_context_requires_adapted_word():

@@ -100,6 +100,29 @@ def test_beta_sequence_rejects_non_reduced():
         beta_sequence(B2, (1, 2, 1, 2, 1))
 
 
+def test_beta_sequence_takes_a_list_word():
+    # the cache keys on the word as a tuple, so a list is no TypeError
+    assert beta_sequence(A2, [1, 2, 1]) == beta_sequence(A2, (1, 2, 1))
+
+
+def test_beta_sequence_rejects_a_float_word_after_its_int_word():
+    # (1.0, 2.0, 1.0) == (1, 2, 1) as a cache key; the letters must not pass
+    # as ints once the int word is cached
+    beta_sequence(A2, (1, 2, 1))
+    with pytest.raises(TypeError):
+        beta_sequence(A2, (1.0, 2.0, 1.0))
+
+
+@pytest.mark.parametrize("word, error, message", [
+    ((1, 1), NotReduced, "word is not reduced at position 2"),
+    ((1, 3), ValueError, "letter 3 out of range at position 2"),
+])
+def test_beta_sequence_errors_raise_again(word, error, message):
+    for _ in range(2):
+        with pytest.raises(error, match=f"^{message}$"):
+            beta_sequence(A2, word)
+
+
 def test_staircase_word_shape():
     assert staircase_word(3) == (3, 2, 3, 1, 2, 3)
     assert staircase_word(4) == (4, 3, 4, 2, 3, 4, 1, 2, 3, 4)
