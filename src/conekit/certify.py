@@ -163,11 +163,13 @@ def criterion_containment() -> tuple[bool, dict]:
     """Degree cone inside the dual-datum negative cone, ray by ray.
 
     Reads criterion 2's cones from `_report`, and checks the degree cone's
-    own DD rays against the negative cone's raw defining inequalities rather
-    than through the cone comparison machinery, so a facet-enumeration bug
-    cannot mask a containment bug. `check_conjecture` (criterion 2) decides
-    its verdict from the defining forms and never expands the degree cone,
-    so this is where paper-check meets the degree cone's DD rays.
+    rays and lines against the negative cone's raw defining inequalities
+    rather than through the cone comparison machinery, so a
+    facet-enumeration bug cannot mask a containment bug. Those rays come
+    from the certified equality, not from DD: an `equal` verdict hands the
+    degree cone the negative cone's V-sides. Criterion 1 keeps
+    paper-check's DD route on degree cones, and the test suite compares the
+    handed sides with the degree cone's own DD.
     """
     checked = 0
     ok = True

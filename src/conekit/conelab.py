@@ -153,6 +153,10 @@ class ConeReport:
     roots: tuple[tuple[int, ...], ...]
 
     def to_dict(self) -> dict:
+        """The report as JSON data. Each cone lists its own given forms
+        under `ineqs`. After an `equal` verdict the degree cone's rays and
+        lineality are the negative cone's, so this runs no DD; after another
+        verdict, the witness search has already expanded it by DD."""
         return {
             "word": list(self.word),
             "quiver": self.quiver,
@@ -180,8 +184,12 @@ def check_conjecture(
 
     The degree cone can never leave the negative cone (that containment is a
     theorem-level invariant); a 'violation' verdict therefore signals an
-    implementation bug and carries an explicit substitution witness. A given
-    `ctx` must be the context of this quiver and word (ValueError).
+    implementation bug and carries an explicit substitution witness. Neither
+    test runs DD: the negative cone's forms are unit triangular, and its
+    sides come from `_triangular_vrep`. On `equal`, `d_cone.contains(l_cone)`
+    proves the cones one set and hands the degree cone those sides, so no
+    DD of the degree cone follows. A given `ctx` must be the context of this
+    quiver and word (ValueError).
     """
     ctx = _context_for(quiver, word, ctx)
     d_cone = degree_cone(quiver, word, ctx=ctx)

@@ -20,6 +20,9 @@ and expands nothing. Cones are compared from their defining forms:
 `contains` tests the inequalities of the containing cone, less the forms
 the other cone was given, on the other cone's given generators (its rays
 and lines if it was given by inequalities) as a few packed integer sums.
+When the other cone was given by forms that are all among the containing
+cone's, a pass proves the two cones equal, and the containing cone keeps
+the other's V-sides instead of expanding its own.
 """
 
 from __future__ import annotations
@@ -393,22 +396,36 @@ class RationalCone:
         |f . g_j| <= M < 2**(width-1). So the sum is exact with no carry
         between fields, and the top bit of field j is set exactly when
         f . g_j >= 0.
+
+        When `other` was given by forms and every one of them is among this
+        cone's, this cone lies inside `other`, so a passing test makes the
+        two cones one set. This cone then keeps `other`'s V-sides wherever
+        it has none of its own: both are canonical (sorted primitive rays
+        reduced modulo the RREF lineality, facets reduced modulo the span
+        equations), so they are what its own expansion would give.
         """
         if other.dim != self.dim:
             raise DimensionMismatch("cones live in different spaces")
         given = set(other._ineqs or ())
-        forms = [f for f in self.inequalities if f not in given]
-        if not forms:
-            return True
-        gens = other._gens if other._gens is not None else with_lines(*other.vrep())
-        largest = max((abs(x) for g in gens for x in g), default=0)
-        width = (max(sum(map(abs, f)) for f in forms) * largest).bit_length() + 1
-        half = pack([1 << (width - 1)] * len(gens), width)
-        cols = [pack(col, width) for col in zip(*gens)]
-        return all(
-            half + sum(map(mul, compress(f, f), compress(cols, f))) & half == half
-            for f in forms
-        )
+        mine = self.inequalities
+        forms = [f for f in mine if f not in given]
+        if forms:
+            gens = other._gens if other._gens is not None else with_lines(*other.vrep())
+            largest = max((abs(x) for g in gens for x in g), default=0)
+            width = (max(sum(map(abs, f)) for f in forms) * largest).bit_length() + 1
+            half = pack([1 << (width - 1)] * len(gens), width)
+            cols = [pack(col, width) for col in zip(*gens)]
+            if not all(
+                half + sum(map(mul, compress(f, f), compress(cols, f))) & half == half
+                for f in forms
+            ):
+                return False
+        # `mine` holds distinct forms, so every given form was skipped
+        # exactly when the skipped count is len(given). A cone expands both
+        # sides at once, so `_vrep` None means it has neither.
+        if self._vrep is None and other._ineqs is not None and len(mine) - len(forms) == len(given):
+            self._vrep, self._dualrep = other._vrep, other._dualrep
+        return True
 
     def same_cone(self, other: "RationalCone") -> bool:
         return other.contains(self) and self.contains(other)

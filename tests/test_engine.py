@@ -22,10 +22,16 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conekit import conelab, polycone, quiverrep
+from conekit import certify, conelab, polycone, quiverrep
 from conekit.cli import run
 from conekit.linalg import dot, integerize, nullspace_basis, rank, row_space_basis
-from conekit.polycone import DimensionMismatch, RationalCone, _reduce_mod_rows, dd_vrep
+from conekit.polycone import (
+    DimensionMismatch,
+    RationalCone,
+    _reduce_mod_rows,
+    dd_vrep,
+    with_lines,
+)
 from conekit.quiverrep import (
     ConsistencyFailure,
     RepContext,
@@ -823,15 +829,14 @@ def test_one_dd_per_cone(monkeypatch):
     quiver = all_orientations(a6)[0]
     report = conelab.check_conjecture(quiver, first_adapted_word(quiver))
     # The verdict needs only the negative cone's rays, which its unit
-    # triangular forms give with no DD; the degree cone expands, by one DD,
-    # when its rays are first read.
+    # triangular forms give with no DD; an `equal` verdict makes the two
+    # cones one set, so the degree cone takes the negative cone's sides.
     assert report.verdict == "equal"
     assert calls == []
     assert report.negative_cone._vrep is not None
-    assert report.degree_cone._vrep is None
+    assert report.degree_cone._vrep is not None
     report.to_dict()
-    assert len(calls) == 1
-    calls.clear()
+    assert calls == []
     report = ktheory_cones(equioriented_a(4), staircase_word(4))
     # D^v's rays are the mesh vectors, certified by D.R = I, and at the
     # default bound the verdicts come from their heights: no DD at all.
@@ -854,6 +859,71 @@ def test_negative_cone_contains_degree_cone_without_dd(monkeypatch, family, rank
 
     monkeypatch.setattr(polycone, "dd_vrep", no_dd)
     assert l_cone.contains(d_cone)
+
+
+def _shared_sides_cases():
+    for family, rank in [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5)]:
+        for quiver in all_orientations(cartan_matrix(family, rank)):
+            yield quiver, sink_walk_word(quiver, random.Random(0))
+    e6 = all_orientations(cartan_matrix("E", 6))[0]
+    yield e6, sink_walk_word(e6, random.Random(0))
+    yield from certify._conjecture_cases()
+
+
+def test_equal_verdict_shares_the_sides_dd_gives():
+    # An `equal` verdict hands the degree cone the negative cone's V-sides;
+    # they must be the sides the degree cone's own DD gives, as paper-check
+    # criterion 3 and `cone check` read them from the report.
+    for quiver, word in _shared_sides_cases():
+        ctx = RepContext(quiver, word)
+        report = conelab.check_conjecture(quiver, word, ctx=ctx)
+        assert report.verdict == "equal"
+        shared = report.degree_cone
+        assert shared._vrep is report.negative_cone._vrep
+        fresh = conelab.degree_cone(quiver, word, ctx=ctx)
+        with mock.patch.object(polycone, "_triangular_vrep", lambda dim, forms: None):
+            fresh.vrep()
+        assert shared.vrep() == fresh.vrep()
+        assert shared.dualrep() == fresh.dualrep()
+        assert shared.to_dict() == fresh.to_dict()
+
+
+@pytest.mark.parametrize("verdict", ["strict_subset", "violation"])
+def test_other_verdicts_keep_their_own_sides(monkeypatch, verdict):
+    # One AR form of the degree cone negated (a cut through the negative
+    # cone) or dropped (the degree cone leaves the negative cone).
+    quiver, word = equioriented_a(4), staircase_word(4)
+    l_forms = conelab.negative_tight_cone(langlands_dual(quiver.cartan), word).inequalities
+    ar_form = l_forms[0]
+    real = conelab.degree_cone
+
+    def changed(quiver, word, ctx=None):
+        forms = set(real(quiver, word, ctx=ctx).inequalities)
+        assert ar_form in forms
+        if verdict == "strict_subset":
+            forms.add(tuple(-x for x in ar_form))
+        else:
+            forms.remove(ar_form)
+        return RationalCone.from_inequalities(len(word), forms)
+
+    monkeypatch.setattr(conelab, "degree_cone", changed)
+    report = conelab.check_conjecture(quiver, word)
+    assert report.verdict == verdict
+    d_cone, l_cone = report.degree_cone, report.negative_cone
+    small, big = (l_cone, d_cone) if verdict == "strict_subset" else (d_cone, l_cone)
+    witness = report.witness
+    ray = tuple(witness["ray"])
+    assert ray in with_lines(*small.vrep())
+    ((key, form),) = [(k, tuple(v)) for k, v in witness.items() if k.startswith("violated_")]
+    assert big.violation(ray) == (key[len("violated_"):], form)
+    if verdict == "strict_subset":
+        assert witness["kind"] == "negative_ray_outside_degree_cone"
+        assert dot(ar_form, ray) > 0
+    else:
+        assert witness["kind"] == "degree_ray_outside_negative_cone"
+        assert form == ar_form
+    assert d_cone._vrep is not l_cone._vrep and d_cone._dualrep is not l_cone._dualrep
+    assert d_cone.vrep() != l_cone.vrep()
 
 
 def test_generators_and_dual_run_no_dd(monkeypatch):

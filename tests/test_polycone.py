@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conekit import polycone
 from conekit.linalg import dot, rank
 from conekit.polycone import (
     DimensionMismatch,
@@ -321,4 +322,52 @@ def test_contains_matches_witness_search(problem, expand_self, expand_other, how
         small.vrep()
     expected = _build(dim, a).missing_generator(_build(dim, b)) is None
     assert big.contains(small) == expected
+    # Whatever sides `contains` handed over, they are the cone's own.
+    fresh = _build(dim, a)
+    assert big.vrep() == fresh.vrep() and big.dualrep() == fresh.dualrep()
+
+
+def _no_expansion(monkeypatch):
+    def refuse(dim, forms):
+        raise AssertionError("a cone expanded")
+
+    monkeypatch.setattr(polycone, "_both_sides", refuse)
+
+
+def test_identical_forms_need_no_expansion(monkeypatch):
+    forms = [(1, 0, 0), (0, 1, 0), (1, 1, -1), (0, 0, 1)]
+    a = RationalCone.from_inequalities(3, forms)
+    b = RationalCone.from_inequalities(3, [tuple(2 * x for x in f) for f in reversed(forms)])
+    b.vrep()
+    _no_expansion(monkeypatch)
+    assert RationalCone.from_inequalities(3, forms).contains(a)
+    # The same set: `a` keeps `b`'s sides as they are, no copy.
+    assert a.contains(b)
+    assert a._vrep is b._vrep and a._dualrep is b._dualrep
+
+
+def test_generator_given_cone_shares_nothing():
+    # A cone given by generators has no forms, so "all its forms are mine"
+    # would hold vacuously; its sides are never taken.
+    h_cone = RationalCone.from_inequalities(2, [(1, 0), (0, 1)])
+    v_cone = RationalCone.from_generators(2, [(1, 0), (0, 1)])
+    v_cone.vrep()
+    assert h_cone.contains(v_cone)
+    assert h_cone._vrep is None and h_cone._dualrep is None
+
+
+def test_strict_containment_shares_nothing():
+    def cones():
+        forms = [(1, 0), (0, 1)]
+        return (RationalCone.from_inequalities(2, forms),
+                RationalCone.from_inequalities(2, forms + [(1, -1)]))
+
+    big, small = cones()
+    small.vrep()
+    assert big.contains(small)
+    assert big._vrep is None
+    # All of `big`'s forms are among `small`'s, but the test fails.
+    big, small = cones()
+    assert not small.contains(big)
+    assert big._vrep is not None and small._vrep is None
 
