@@ -416,13 +416,15 @@ def count_submodules(n: int, x: Module, w: Module, v: Module, p: int) -> int:
 def _hall_polynomials(n: int, v: Module, w: Module) -> MappingProxyType:
     """X -> H^X_{V,W} for every X that is the middle term of an extension of V
     by W, read off the extension classes. Each polynomial is fitted at
-    interpolation-many primes and re-checked at a held-out prime; a mismatch
-    means the degree bound argument failed and is raised, never papered over.
+    interpolation-many primes, checked against the degree bound and
+    re-checked at a held-out prime; a failure of either means the degree
+    bound argument failed and is raised, never papered over.
     """
     dv, dw = _check_pair(n, v, w)
     # deg H <= sum_i dim V_i dim W_i, the dimension of the Grassmannians of W
     # in X; the fit takes two primes past that bound and holds out one more
-    needed = sum(a * b for a, b in zip(dv, dw)) + 3
+    degree = sum(a * b for a, b in zip(dv, dw))
+    needed = degree + 3
     if needed > len(PRIMES):
         raise ScaleExceeded("degree bound outruns the prime table")
     primes, held_out = PRIMES[:needed], PRIMES[needed - 1]
@@ -433,6 +435,11 @@ def _hall_polynomials(n: int, v: Module, w: Module) -> MappingProxyType:
     for x in sorted(set().union(*histograms)):
         counts = [_riedtmann(x, v, w, p, h.get(x, 0)) for p, h in zip(primes, histograms)]
         poly = table[x] = _newton(primes[:-1], counts[:-1])
+        if max(poly.c, default=0) > degree:
+            raise InterpolationInconsistent(
+                f"H^{format_module(x)}_{{{format_module(v)},{format_module(w)}}}: "
+                f"fit has degree {max(poly.c)}, above the bound {degree}"
+            )
         predicted = sum(c * held_out**e for e, c in poly.c.items())
         if predicted != counts[-1]:
             raise InterpolationInconsistent(

@@ -11,18 +11,18 @@ only; or, when its forms are unit triangular (each ends with a 1 at its
 own coordinate, as the negative tight cone's do), by one integer
 substitution instead (`_triangular_vrep`), with the same output. Either
 way the set of forms tight on each ray is kept, and the other side of the
-cone (its facets and span equations, or for a cone given by generators its
-rays and lineality) is read off those zero sets with no second run.
+cone, its facets and span equations, is read off those zero sets with no
+second run.
 
-A cone keeps the side it was given, inequalities or generators, and is
-expanded only when its other side is first read; `dual` swaps the sides
-and expands nothing. Cones are compared from their defining forms:
-`contains` tests the inequalities of the containing cone, less the forms
-the other cone was given, on the other cone's given generators (its rays
-and lines if it was given by inequalities) as a few packed integer sums.
-When the other cone was given by forms that are all among the containing
-cone's, a pass proves the two cones equal, and the containing cone keeps
-the other's V-sides instead of expanding its own.
+A cone is given by its forms and expanded only when its V-side is first
+read. The cone generated by vectors G is the dual side of
+``from_inequalities(dim, G)``: its rays and lineality are that cone's
+`dualrep()`. Cones are compared from their defining forms: `contains`
+tests the forms of the containing cone, less those the other cone was
+given, on the other cone's rays and lines as a few packed integer sums.
+When the other cone's forms are all among the containing cone's, a pass
+proves the two cones equal, and the containing cone keeps the other's
+V-sides instead of expanding its own.
 """
 
 from __future__ import annotations
@@ -261,61 +261,46 @@ class ConeProfile:
     is_simplicial_mod_lineality: bool
 
 
-def _normalized(dim: int, vectors, kind: str) -> tuple[IntVec, ...]:
-    """The distinct nonzero vectors, each made primitive, sorted."""
+def _normalized(dim: int, forms) -> tuple[IntVec, ...]:
+    """The distinct nonzero forms, each made primitive, sorted."""
     out = set()
-    for v in vectors:
-        if len(v) != dim:
-            raise DimensionMismatch(f"{kind} {v} does not have length {dim}")
-        v = normalize_form(v, allow_zero=True)
-        if any(v):
-            out.add(v)
+    for f in forms:
+        if len(f) != dim:
+            raise DimensionMismatch(f"form {f} does not have length {dim}")
+        f = normalize_form(f, allow_zero=True)
+        if any(f):
+            out.add(f)
     return tuple(sorted(out))
 
 
 class RationalCone:
-    """A rational cone that keeps the side it was given, forms `_ineqs` or
-    generators `_gens`; one `_both_sides` fills in `_vrep` and `_dualrep`
-    on demand."""
+    """The cone {x : f . x >= 0 for f in `_ineqs`}; one `_both_sides` fills
+    in `_vrep` and `_dualrep` on demand. The cone generated by G is the
+    `dualrep()` of ``from_inequalities(dim, G)``."""
 
-    __slots__ = ("dim", "_ineqs", "_gens", "_vrep", "_dualrep")
+    __slots__ = ("dim", "_ineqs", "_vrep", "_dualrep")
 
-    def __init__(self, dim: int, _ineqs=None, _gens=None, _vrep=None, _dualrep=None):
+    def __init__(self, dim: int, _ineqs):
         if dim < 1:
             raise ValueError("ambient dimension must be >= 1")
         self.dim = dim
         self._ineqs = _ineqs
-        self._gens = _gens
-        self._vrep = _vrep
-        self._dualrep = _dualrep
+        self._vrep = self._dualrep = None
 
     @classmethod
     def from_inequalities(cls, dim: int, forms) -> "RationalCone":
-        return cls(dim, _ineqs=_normalized(dim, forms, "form"))
-
-    @classmethod
-    def from_generators(cls, dim: int, rays, lineality=()) -> "RationalCone":
-        return cls(dim, _gens=_normalized(dim, with_lines(rays, lineality), "generator"))
+        return cls(dim, _normalized(dim, forms))
 
     # -- representations ---------------------------------------------------
 
-    def _expand(self) -> None:
-        """Both V-representations from one `_both_sides` over the given side
-        (the generators of a cone are inequality forms of its dual)."""
-        if self._ineqs is not None:
-            self._vrep, self._dualrep = _both_sides(self.dim, list(self._ineqs))
-        else:
-            self._dualrep, self._vrep = _both_sides(self.dim, list(self._gens))
-
     def vrep(self) -> tuple[list[IntVec], list[IntVec]]:
         if self._vrep is None:
-            self._expand()
+            self._vrep, self._dualrep = _both_sides(self.dim, list(self._ineqs))
         return self._vrep
 
     def dualrep(self) -> tuple[list[IntVec], list[IntVec]]:
         """V-representation of the dual cone: (facet normals, span-complement)."""
-        if self._dualrep is None:
-            self._expand()
+        self.vrep()
         return self._dualrep
 
     @property
@@ -332,10 +317,8 @@ class RationalCone:
 
     @property
     def inequalities(self) -> tuple[IntVec, ...]:
-        """The given forms, else the facets and span equations both ways."""
-        if self._ineqs is not None:
-            return self._ineqs
-        return tuple(sorted(set(with_lines(*self.dualrep()))))
+        """The given forms."""
+        return self._ineqs
 
     # -- structure ---------------------------------------------------------
 
@@ -350,11 +333,6 @@ class RationalCone:
             facet_count=len(facets),
             is_simplicial_mod_lineality=(len(rays) == dimension - len(lin)),
         )
-
-    def dual(self) -> "RationalCone":
-        """The dual cone, with no DD: the given forms and generators trade
-        places, and so do the V-sides if they were read."""
-        return RationalCone(self.dim, self._gens, self._ineqs, self._dualrep, self._vrep)
 
     # -- point and cone queries ---------------------------------------------
 
@@ -386,31 +364,30 @@ class RationalCone:
 
         The forms are `inequalities`, less those `other` was given (they
         hold there by definition); if none is left, neither cone expands.
-        They are tested on `other`'s given generators, or on its rays and
-        lines if it was given by forms, as packed sums in the guard-bit
-        idiom of `quiverrep.bounded_multisets`: column i packs coordinate i
-        of every generator, one field each, at a width one bit past the bit
-        length of M = (max sum |f_i|) * (max |g_j|). With `half` holding
-        2**(width-1) in every field, field j of ``half + sum f_i col_i`` is
-        2**(width-1) + f . g_j, which lies in [1, 2**width) since
-        |f . g_j| <= M < 2**(width-1). So the sum is exact with no carry
-        between fields, and the top bit of field j is set exactly when
-        f . g_j >= 0.
+        They are tested on `other`'s rays and lines as packed sums in the
+        guard-bit idiom of `quiverrep.bounded_multisets`: column i packs
+        coordinate i of every generator, one field each, at a width one bit
+        past the bit length of M = (max sum |f_i|) * (max |g_j|). With
+        `half` holding 2**(width-1) in every field, field j of
+        ``half + sum f_i col_i`` is 2**(width-1) + f . g_j, which lies in
+        [1, 2**width) since |f . g_j| <= M < 2**(width-1). So the sum is
+        exact with no carry between fields, and the top bit of field j is
+        set exactly when f . g_j >= 0.
 
-        When `other` was given by forms and every one of them is among this
-        cone's, this cone lies inside `other`, so a passing test makes the
-        two cones one set. This cone then keeps `other`'s V-sides wherever
-        it has none of its own: both are canonical (sorted primitive rays
-        reduced modulo the RREF lineality, facets reduced modulo the span
-        equations), so they are what its own expansion would give.
+        When every form of `other` is among this cone's, this cone lies
+        inside `other`, so a passing test makes the two cones one set. This
+        cone then keeps `other`'s V-sides wherever it has none of its own:
+        both are canonical (sorted primitive rays reduced modulo the RREF
+        lineality, facets reduced modulo the span equations), so they are
+        what its own expansion would give.
         """
         if other.dim != self.dim:
             raise DimensionMismatch("cones live in different spaces")
-        given = set(other._ineqs or ())
+        given = set(other._ineqs)
         mine = self.inequalities
         forms = [f for f in mine if f not in given]
         if forms:
-            gens = other._gens if other._gens is not None else with_lines(*other.vrep())
+            gens = with_lines(*other.vrep())
             largest = max((abs(x) for g in gens for x in g), default=0)
             width = (max(sum(map(abs, f)) for f in forms) * largest).bit_length() + 1
             half = pack([1 << (width - 1)] * len(gens), width)
@@ -423,12 +400,9 @@ class RationalCone:
         # `mine` holds distinct forms, so every given form was skipped
         # exactly when the skipped count is len(given). A cone expands both
         # sides at once, so `_vrep` None means it has neither.
-        if self._vrep is None and other._ineqs is not None and len(mine) - len(forms) == len(given):
+        if self._vrep is None and len(mine) - len(forms) == len(given):
             self._vrep, self._dualrep = other._vrep, other._dualrep
         return True
-
-    def same_cone(self, other: "RationalCone") -> bool:
-        return other.contains(self) and self.contains(other)
 
     def interior_point(self) -> IntVec:
         """A point in the relative interior (strict on every facet)."""
@@ -451,8 +425,7 @@ class RationalCone:
         }
 
     def __repr__(self) -> str:
-        kind, given = ("ineqs", self._ineqs) if self._gens is None else ("gens", self._gens)
-        state = [f"{len(given)} {kind}"]
+        state = f"{len(self._ineqs)} ineqs"
         if self._vrep is not None:
-            state.append(f"{len(self._vrep[0])} rays, lin {len(self._vrep[1])}")
-        return f"RationalCone(dim={self.dim}, {'; '.join(state)})"
+            state += f"; {len(self._vrep[0])} rays, lin {len(self._vrep[1])}"
+        return f"RationalCone(dim={self.dim}, {state})"

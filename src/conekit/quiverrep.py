@@ -17,7 +17,8 @@ walks on packed integers, one guarded bit field per coordinate, some
 fields exact and the others upper bounds. An exact walk drops a
 remainder once a nonzero exact field has no later column to lower it. A
 `RepContext` packs each root once, its dimension vector and then its Hom
-column ([U_z, U_t])_z, at one width sized from the highest root: oracle
+column ([U_z, U_t])_z, at one width sized from θ, the coordinatewise
+maximum of the roots (the highest root of each component): oracle
 middle terms walk that table with the Hom fields as a budget, and each
 result is checked again by `_recheck`: the test of `degenerates_properly`,
 against one packed goal per Ext pair at a width sized from the pair.
@@ -389,7 +390,9 @@ class RepContext:
         # Root t as fields: beta_t, then its Hom column ([U_z, U_t])_z. A
         # field of a module M is at most theta . dim M (beta <= theta), so
         # 2 theta . theta sizes every field of an extension of two roots.
-        theta = highest_root(quiver.cartan)
+        # theta is the coordinatewise maximum of the roots: the highest root
+        # on a connected diagram, every component's at once on another.
+        self._theta = theta = tuple(map(max, zip(*self.betas)))
         self._caps = tuple(dot(theta, b) for b in self.betas)
         self._fields = [b + col[:t] + zeros[t:] for t, (b, col) in
                         enumerate(zip(self.betas, zip(*self._euler)), start=1)]
@@ -797,7 +800,7 @@ class RepContext:
         differ too (the Hom table is unitriangular): the guard-bit test is
         then strict.
         """
-        width = (max(highest_root(self.quiver.cartan)) * bound).bit_length() + 1
+        width = (max(self._theta) * bound).bit_length() + 1
         guard, table = self._packing(width)
         dims = (1 << width * self.n) - 1
         bits = [1 << t for t in range(self.N)]
@@ -864,10 +867,12 @@ class RepContext:
         witness is the first sorted ray of D^v with ht(r+) > b. `stabilized`
         says that E_{b+1} = E_b: true for b >= B*, where both are D^v; false
         when some ray of D^v has height b + 1, which E_{b+1} holds and E_b
-        does not; otherwise E_b is expanded by DD and tested against the
-        generators of E_{b+1}. Below B* it compares these two bounds only: on
-        D4, `1>2,3>2,4>2` with the word (2,1,3,4)*3, it reads True at bounds
-        6 and 7 and False at bound 8, and B* = 9.
+        does not. Otherwise, as E_{b+1} lies in E_b exactly when the dual of
+        E_b lies in that of E_{b+1}, the cone cut out by E_b's generators is
+        expanded by DD and the generators of height b + 1 are tested on it.
+        Below B* it compares these two bounds only: on D4, `1>2,3>2,4>2`
+        with the word (2,1,3,4)*3, it reads True at bounds 6 and 7 and False
+        at bound 8, and B* = 9.
 
         By (b), the generators need only the pairs of disjoint support with
         gcd(y - x) = 1; a pair sharing a summand or with a common factor
@@ -919,8 +924,8 @@ class RepContext:
             stabilized = False  # E_{bound+1} holds a ray of D^v that E_bound misses
         else:
             e_next = set(e_gens) | {to_lambda(d) for d, h in deltas.items() if h > bound}
-            stabilized = RationalCone.from_generators(m, e_gens).contains(
-                RationalCone.from_generators(m, e_next))
+            stabilized = RationalCone.from_inequalities(m, e_next).contains(
+                RationalCone.from_inequalities(m, e_gens))
         report = {
             "bound": bound,
             "lambda_rank": m,

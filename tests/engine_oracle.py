@@ -14,8 +14,10 @@ candidates of a dimension-only walk that pass them, where
 pointed cone from every square subsystem of its forms, with no double
 description; `dual_by_second_dd` is the dual of a cone by a second double
 description over its generators, which `RationalCone` replaces by reading
-the dual off the zero sets of its one run. `extension_generators_by_pairs`
-is the all-pairs route, by whole Hom vectors, to the K-theory generators that
+the dual off the zero sets of its one run; `cone_generated_by` gives the
+cone on some generators by its forms, the V-side of their dual cone.
+`extension_generators_by_pairs` is the all-pairs route, by whole Hom
+vectors, to the K-theory generators that
 `RepContext._extension_generators` replaces by the pairs of disjoint
 support; `containment_witness` is the witness search over two expanded
 cones that `ktheory_cones` replaces by the heights of the rays of D^v;
@@ -35,7 +37,7 @@ from math import lcm
 from operator import le
 
 from conekit.linalg import dot, nullspace_basis, primitive
-from conekit.polycone import DimensionMismatch, dd_vrep, with_lines
+from conekit.polycone import DimensionMismatch, RationalCone, dd_vrep, with_lines
 from conekit.quiverrep import bounded_multisets, euler_form
 
 
@@ -243,6 +245,14 @@ def dual_by_second_dd(dim: int, rays, lineality) -> tuple[list, list]:
     generated by `rays` and the lines `lineality`: the generators, each line
     in both directions, are the forms of the dual."""
     return dd_vrep(dim, with_lines(rays, lineality))[:2]
+
+
+def cone_generated_by(dim: int, rays, lines=()) -> RationalCone:
+    """The cone generated by `rays` and the lines `lines`, given by its
+    forms: the rays and lines, both ways, of its dual cone
+    {x : g . x >= 0 for every generator g}."""
+    dual = RationalCone.from_inequalities(dim, with_lines(rays, lines))
+    return RationalCone.from_inequalities(dim, with_lines(*dual.vrep()))
 
 
 def containment_witness(a, b) -> dict:

@@ -157,6 +157,20 @@ def test_quiver_commands(capsys):
     assert json.loads(out)["result"]["duality_verdict"] == "equal"
 
 
+@pytest.mark.parametrize("quiver, word", [
+    ("1>2,2>3,4>5", "3,2,5,1,3,2,4,3,5"),  # A3 and A2
+    ("1>2,3>2,4>2,5>6,6>7", "2,1,3,4,2,1,3,4,2,1,3,4,7,6,5,7,6,7"),  # D4 and A3
+])
+def test_disconnected_diagram_commands(capsys, quiver, word):
+    # The packed fields are sized from the largest coordinates over every
+    # component's roots, not from the highest root of one component.
+    for verb in (["cone", "check"], ["cone", "degree"], ["quiver", "middle"]):
+        code, out, _ = _invoke(capsys, verb + ["--quiver", quiver, "--word", word])
+        assert code == 0, out
+        if verb[1] == "check":
+            assert json.loads(out)["result"]["verdict"] == "equal"
+
+
 def test_usage_errors_exit_one(capsys):
     code, _, err = _invoke(
         capsys, ["roots", "betas", "--type", "A2", "--word", "1,1,2"]

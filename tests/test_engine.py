@@ -16,6 +16,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import product
 from operator import le
 from unittest import mock
 
@@ -52,6 +53,7 @@ from conekit.rootsys import (
 from engine_oracle import (
     brute_extreme_rays,
     brute_multisets,
+    cone_generated_by,
     containment_witness,
     degenerates_properly_sparse,
     dual_by_second_dd,
@@ -289,11 +291,15 @@ def _ktheory_dd_cases(family, rank):
 @pytest.mark.parametrize("family, rank", [("A", 2), ("A", 3), ("A", 4), ("D", 4)])
 def test_ktheory_verdicts_match_extension_cone_dd(family, rank):
     # At every bound b up to the default, against B*, the largest ray height
-    # of D^v. Up to B*, E_b is expanded by DD: it equals D^v exactly at B*,
-    # `stabilized` is its comparison with E_{b+1}, and a `not_equal` witness
-    # is the one the search over both expanded cones finds. Above B*, E_b
-    # holds the generators of E_{B*} = D^v and lies in D^v by D's forms, so
-    # it is D^v with no DD (on D4, E_10 would be a DD of 2,235 generators).
+    # of D^v. E_b is read through its dual, the cone cut out by its
+    # generators: E_b lies in D^v exactly when the cone generated by D lies
+    # in that dual, and E_{b+1} in E_b exactly when the dual of E_b lies in
+    # that of E_{b+1}. Up to B*, that dual is expanded by DD, and E_b by its
+    # forms, the dual's rays and lines, is compared with D^v: it equals D^v
+    # exactly at B*, and a `not_equal` witness is the one the search over
+    # both expanded cones finds. Above B*, E_b holds the generators of
+    # E_{B*} = D^v and lies in D^v, so it is D^v with no DD (on D4, E_10's
+    # dual would be a DD of 2,235 forms).
     for quiver, word in _ktheory_dd_cases(family, rank):
         ctx = RepContext(quiver, word)
         default = ctx.default_ktheory_bound()
@@ -304,24 +310,48 @@ def test_ktheory_verdicts_match_extension_cone_dd(family, rank):
             except ValueError:
                 assert not reports  # no generators below the first bound with some
         assert reports[default]["duality_verdict"] == "equal"
+        m = reports[default]["lambda_rank"]
+        d_cone = cone_generated_by(m, reports[default]["D_generators"])
         for b in range(min(reports), default + 1):
             report = reports[b]
             d_dual, rays = _dual_rays_with_heights(ctx, report)
             top = max(h for _, h in rays)
             assert (report["duality_verdict"] == "equal") == (b >= top)
-            m = report["lambda_rank"]
-            e_cone = RationalCone.from_generators(m, report["E_generators"])
-            e_next = RationalCone.from_generators(m, reports[b + 1]["E_generators"])
+            e_dual = RationalCone.from_inequalities(m, report["E_generators"])
+            e_next_dual = RationalCone.from_inequalities(m, reports[b + 1]["E_generators"])
             if b <= top:
-                assert e_cone.same_cone(d_dual) == (b == top)
-                assert report["stabilized"] == e_cone.contains(e_next)
+                # E's own DD first: from B* on, D's rays are among E's
+                # generators, and `contains` would hand the dual D's sides.
+                e_cone = RationalCone.from_inequalities(m, with_lines(*e_dual.vrep()))
+                assert e_dual.contains(d_cone)
+                assert e_cone.contains(d_dual) == (b == top)
+                assert report["stabilized"] == e_next_dual.contains(e_dual)
             else:
                 e_top = {tuple(g) for g in reports[top]["E_generators"]}
                 assert e_top <= set(map(tuple, report["E_generators"]))
-                assert d_dual.contains(e_cone) and d_dual.contains(e_next)
+                assert e_dual.contains(d_cone) and e_next_dual.contains(d_cone)
                 assert report["stabilized"]
             if b < top:
                 assert report["witness"] == containment_witness(e_cone, d_dual)
+
+
+@pytest.mark.parametrize("bound, size", [(6, 153), (7, 309)])
+def test_stabilized_fallback_expands_the_dual_of_e_b_once(monkeypatch, bound, size):
+    # Below B* = 9 with no ray of D^v at height b + 1, `stabilized` tests the
+    # generators of height b + 1 on the dual of E_b: one expansion, of E_b's
+    # generators as forms, and none of E_{b+1}.
+    ctx = RepContext(quiverrep.parse_quiver("1>2,3>2,4>2"), (2, 1, 3, 4) * 3)
+    calls, both_sides = [], polycone._both_sides
+
+    def counted(dim, forms):
+        calls.append(forms)
+        return both_sides(dim, forms)
+
+    monkeypatch.setattr(polycone, "_both_sides", counted)
+    report = ctx.ktheory_cones(bound)
+    assert report["stabilized"] and report["duality_verdict"] == "not_equal"
+    assert calls == [[tuple(g) for g in report["E_generators"]]]
+    assert len(calls[0]) == size
 
 
 def test_dependent_hom_functionals_raise():
@@ -505,6 +535,23 @@ def test_packed_degeneration_matches_sparse_reference(problem):
     assert _outcome(ctx.degenerates_properly, x, u, v) == _outcome(
         degenerates_properly_sparse, ctx, x, u, v
     )
+
+
+def test_disconnected_diagram_packs_every_component():
+    # On A2 and A1 the highest root of one component is 0 on the other's
+    # roots; the fields must be sized from both. Every pair of modules with
+    # entries 0-2, over every adapted word.
+    quiver = quiverrep.parse_quiver("1>3")
+    cases = 0
+    for word in enumerate_adapted_words(quiver):
+        ctx = RepContext(quiver, word)
+        every = range(1, ctx.N + 1)
+        modules = list(product(range(3), repeat=ctx.N))
+        for x in modules:
+            for y in modules:
+                assert ctx.hom_leq_strict(x, y) == hom_dominated_sparse(ctx, x, y, every)
+        cases += 1
+    assert cases == 4
 
 
 def test_packed_degeneration_with_large_multiplicities():
@@ -795,8 +842,7 @@ def test_negative_cone_is_solved_as_dd_expands_it(family, rank):
 @st.composite
 def _cone_vectors(draw):
     """Dimension 1-5 and up to 9 vectors: some negated copies (implicit
-    equalities of an H-cone, lines of a V-cone), often lineality, and the
-    empty list."""
+    equalities), often lineality, and the empty list."""
     dim = draw(st.integers(1, 5))
     vectors = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), max_size=7))
     if vectors:
@@ -806,15 +852,11 @@ def _cone_vectors(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_cone_vectors(), st.booleans())
-def test_zero_set_dual_matches_second_dd(problem, by_generators):
+@given(_cone_vectors())
+def test_zero_set_dual_matches_second_dd(problem):
     dim, vectors = problem
-    if by_generators:
-        cone = RationalCone.from_generators(dim, vectors)
-        assert cone.vrep() == dual_by_second_dd(dim, *cone.dualrep())
-    else:
-        cone = RationalCone.from_inequalities(dim, vectors)
-        assert cone.dualrep() == dual_by_second_dd(dim, *cone.vrep())
+    cone = RationalCone.from_inequalities(dim, vectors)
+    assert cone.dualrep() == dual_by_second_dd(dim, *cone.vrep())
 
 
 def test_one_dd_per_cone(monkeypatch):
@@ -924,22 +966,6 @@ def test_other_verdicts_keep_their_own_sides(monkeypatch, verdict):
         assert form == ar_form
     assert d_cone._vrep is not l_cone._vrep and d_cone._dualrep is not l_cone._dualrep
     assert d_cone.vrep() != l_cone.vrep()
-
-
-def test_generators_and_dual_run_no_dd(monkeypatch):
-    # A cone keeps the side it was given and `dual` swaps the sides, so an
-    # H-cone containing a V-cone, or their duals the other way round, is
-    # decided by the given forms on the given generators.
-    def no_dd(dim, forms):
-        raise AssertionError("a cone expanded")
-
-    monkeypatch.setattr(polycone, "dd_vrep", no_dd)
-    h_cone = RationalCone.from_inequalities(3, [(1, 0, 0), (0, 1, 0), (1, 1, -1)])
-    for top, inside in ((2, True), (3, False)):
-        v_cone = RationalCone.from_generators(3, [(1, 0, 0), (0, 1, 0), (1, 1, top)])
-        assert h_cone.contains(v_cone) is inside
-        assert v_cone.dual().contains(h_cone.dual()) is inside
-    assert h_cone.dual().dual().contains(h_cone)
 
 
 # -- integer fast paths against the Fraction routes ---------------------------

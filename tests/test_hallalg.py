@@ -10,6 +10,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conekit import hallalg
 from conekit.hallalg import (
     PRIMES,
     HallElement,
@@ -354,6 +355,22 @@ def test_newton_fit_recovers_integer_polynomials(coeffs):
     want = LaurentPoly(dict(enumerate(coeffs)))
     for k in range(len(coeffs), len(PRIMES) + 1):
         assert _newton(PRIMES[:k], _values(coeffs, PRIMES[:k])) == want
+
+
+def test_fit_above_the_degree_bound_raises(monkeypatch):
+    """A fit of degree D + 1, where D = sum_i dim V_i dim W_i bounds the
+    true degree, is refused before the held-out prime is read."""
+    v, w = P1, S1
+    bound = sum(a * b for a, b in zip(dim_vector(2, v), dim_vector(2, w)))
+    assert bound == 1
+
+    def too_high(xs, ys):
+        return _newton(xs, ys) + _q(bound + 1)
+
+    monkeypatch.setattr(hallalg, "_newton", too_high)
+    with pytest.raises(InterpolationInconsistent,
+                       match=r"^H\^.*_\{1-2,1-1\}: fit has degree 2, above the bound 1$"):
+        hallalg._hall_polynomials.__wrapped__(2, v, w)
 
 
 def _fit_or_raise(fit, xs, ys):
