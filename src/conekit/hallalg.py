@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from operator import index
 from types import MappingProxyType
 
 from .quiverrep import RepContext, equioriented_a, euler_form
@@ -131,7 +132,7 @@ class LaurentPoly:
 def normalize_module(intervals) -> Module:
     out = []
     for a, b in intervals:
-        a, b = int(a), int(b)
+        a, b = index(a), index(b)
         if a > b or a < 1:
             raise ValueError(f"bad interval [{a},{b}]")
         out.append((a, b))

@@ -6,10 +6,11 @@ reduced word. `RepContext` tabulates the Euler form of every ordered pair
 of indecomposables in packed rows (`_euler_table`): the row of each root
 from `_euler_row`, the one row helper that `euler_form` also dots, times
 the roots' packed columns, n multiply-adds per root. By directedness that
-one table gives all Hom and Ext dimensions. The mesh structure (arrows,
-translation, path order) is rebuilt combinatorially from the word and
-cross-validated against the Euler form; any disagreement raises
-ConsistencyFailure rather than guessing.
+one table gives all Hom and Ext dimensions. The AR quiver comes from one
+backward pass over the word (`_ar_quiver`): τ^-1 of each position, the
+mesh arrows with each mesh's predecessors, and the path order as one int
+per position. It is cross-validated against the Euler form; any
+disagreement raises ConsistencyFailure rather than guessing.
 
 One capped walk, `_fillings`, enumerates modules: middle-term fillings, and
 through `bounded_multisets` the K-theory modules of bounded height. It
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import gcd, lcm
-from operator import add, le, mul, sub
+from operator import add, index, le, mul, sub
 
 from . import rootsys
 from .linalg import dot, nullspace_basis, pack, primitive
@@ -51,10 +52,8 @@ from .rootsys import (
     beta_sequence,
     cartan_from_entries,
     highest_root,
-    k_shift,
     longest_words,
     num_positive_roots,
-    tight_pairs,
 )
 
 Word = tuple[int, ...]
@@ -127,7 +126,7 @@ class DynkinQuiver:
 
 def quiver_from_arrows(n: int, arrows) -> DynkinQuiver:
     """Build a quiver on 1..n; the Cartan matrix is read off the graph."""
-    arrows = tuple((int(s), int(t)) for s, t in arrows)
+    arrows = tuple((index(s), index(t)) for s, t in arrows)
     entries = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for s, t in arrows:
         if not (1 <= s <= n and 1 <= t <= n) or s == t:
@@ -165,7 +164,8 @@ def equioriented_a(n: int) -> DynkinQuiver:
 
 
 def all_orientations(cartan: CartanMatrix) -> list[DynkinQuiver]:
-    """Every orientation of the (simply-laced) diagram, in a fixed order."""
+    """Every orientation of the (simply-laced) diagram, in a fixed order;
+    CapExceeded, before building any, past ``rootsys.MAX_WORDS`` of them."""
     n = cartan.rank
     edges = [
         (i, j)
@@ -173,6 +173,8 @@ def all_orientations(cartan: CartanMatrix) -> list[DynkinQuiver]:
         for j in range(i + 1, n + 1)
         if cartan.a(i, j) < 0
     ]
+    if 1 << len(edges) > rootsys.MAX_WORDS:
+        raise CapExceeded(f"more than {rootsys.MAX_WORDS} orientations")
     out = []
     for mask in range(1 << len(edges)):
         arrows = [
@@ -361,7 +363,7 @@ class RepContext:
     """Indecomposables, Hom/Ext tables and mesh data for an adapted pair."""
 
     def __init__(self, quiver: DynkinQuiver, word):
-        word = tuple(int(x) for x in word)
+        word = tuple(map(index, word))
         if len(word) != num_positive_roots(quiver.cartan):
             raise NotAdapted(
                 f"word has length {len(word)}, expected {num_positive_roots(quiver.cartan)}"
@@ -376,16 +378,9 @@ class RepContext:
         # Euler form of every ordered pair; directedness makes it Hom on and
         # above the diagonal and minus Ext1 below it.
         self._euler = _euler_table(quiver, self.betas)
-        self.translation = {l: k for k, l in tight_pairs(word)}
-        self.projectives = tuple(
-            p for p in range(1, self.N + 1) if p not in self.translation
-        )
-        later = set(self.translation.values())
-        self.injectives = tuple(p for p in range(1, self.N + 1) if p not in later)
+        self._ar_quiver()
         zeros = (0,) * self.N
         self._units = tuple(zeros[:k] + (1,) + zeros[k + 1:] for k in range(self.N))
-        self.arrows = self._mesh_arrows()
-        self._reach = self._reachability()
         self._validate()
         # Root t as fields: beta_t, then its Hom column ([U_z, U_t])_z. A
         # field of a module M is at most theta . dim M (beta <= theta), so
@@ -427,43 +422,41 @@ class RepContext:
             raise ValueError(f"need 1 <= k <= {self.N}, got {k}")
         return self._units[k - 1]
 
-    def dim_vector(self, m) -> tuple[int, ...]:
-        if len(m) != self.N:
-            raise DimensionMismatch(f"length mismatch: {len(m)} vs {self.N}")
-        out = [0] * self.n
-        for mk, beta in zip(m, self.betas):
-            if mk:
-                out = [a + mk * b for a, b in zip(out, beta)]
-        return tuple(out)
-
     # -- mesh structure ----------------------------------------------------
 
-    def _mesh_arrows(self) -> tuple[tuple[int, int], ...]:
-        """(k, l) for each neighbour v of letter k whose next position after
-        k is l, from one backward pass that keeps each letter's next
-        position."""
+    def _ar_quiver(self) -> None:
+        """One backward pass over the word, keeping each letter's next
+        position. At k it records τ^-1 k, the next position of k's letter (0
+        when U_k is injective); the mesh arrows k -> l to the next position l
+        of each neighbour letter, kept per l as that mesh's predecessors; and
+        the positions reachable from k as bits of one int, OR-ed from the
+        ends of k's arrows, which the backward order has already finished."""
         neighbors = [()] + [self.quiver.neighbors(v) for v in range(1, self.n + 1)]
         following = [0] * (self.n + 1)  # the next position of each letter
+        self._next = inverse = [0] * (self.N + 1)  # τ^-1 k, or 0
+        self._preds = preds = [[] for _ in range(self.N + 1)]
+        self._reach = reach = {}  # keyed 1..N: another position is a KeyError
         arrows = []
         for k in range(self.N, 0, -1):
             letter = self.word[k - 1]
-            arrows += [(k, following[v]) for v in neighbors[letter] if following[v]]
+            inverse[k] = following[letter]
+            bits = 1 << k
+            for v in neighbors[letter]:
+                if l := following[v]:
+                    arrows.append((k, l))
+                    preds[l].append(k)
+                    bits |= reach[l]
+            reach[k] = bits
             following[letter] = k
-        return tuple(sorted(arrows))
-
-    def _reachability(self):
-        succ = {k: set() for k in range(1, self.N + 1)}
-        for k, l in self.arrows:
-            succ[k].add(l)
-        reach = {k: {k} for k in range(1, self.N + 1)}
-        for k in range(self.N, 0, -1):
-            for l in succ[k]:
-                reach[k] |= reach[l]
-        return reach
+        self.arrows = tuple(sorted(arrows))
+        self.translation = {l: k for k, l in enumerate(inverse) if l}
+        every = range(1, self.N + 1)
+        self.projectives = tuple(p for p in every if p not in self.translation)
+        self.injectives = tuple(p for p in every if not inverse[p])
 
     def preceq(self, k: int, l: int) -> bool:
         """Path order: a (possibly empty) chain of mesh arrows from k to l."""
-        return l in self._reach[k]
+        return bool(self._reach[k] >> l & 1)
 
     def _validate(self):
         table = self._euler
@@ -487,12 +480,9 @@ class RepContext:
                 raise ConsistencyFailure(
                     f"mesh arrow {k}->{l} but Hom(U_{k},U_{l}) = 0"
                 )
-        preds = {m: [] for m in range(1, self.N + 1)}
-        for k, l in self.arrows:
-            preds[l].append(k)
         for m, k in self.translation.items():
             mesh_sum = [0] * self.n
-            for p in preds[m]:
+            for p in self._preds[m]:
                 mesh_sum = list(map(add, mesh_sum, self.betas[p - 1]))
             expected = list(map(add, self.betas[k - 1], self.betas[m - 1]))
             if mesh_sum != expected:
@@ -701,16 +691,13 @@ class RepContext:
         # top endpoint is included so the strictness requirement is satisfiable
         # in the almost-split case l = k[1], where the open range is empty;
         # there it holds automatically ([U_l, X] = 0 < [U_l, U_l]).
-        k1 = k_shift(self.word, k)
-        if k1 is None:
+        k1 = self._next[k]
+        if not k1:
             raise ConsistencyFailure(
                 f"Ext1(U_{l},U_{k}) != 0 but U_{k} has no later occurrence"
             )
-        zs = {
-            z
-            for z in range(1, self.N + 1)
-            if self.preceq(k1, z) and self.preceq(z, l)
-        }
+        # mesh arrows ascend (`_validate`), so the window lies in k1..l
+        zs = {z for z in range(k1, l + 1) if self.preceq(k1, z) and self.preceq(z, l)}
         return self._hom_leq(x, self.unit(l), zs)
 
     def superfluous_check(self) -> dict:
@@ -765,10 +752,8 @@ class RepContext:
         if len(self.translation) != self.N - self.n:
             raise ConsistencyFailure(
                 f"{len(self.translation)} non-projectives, expected {self.N - self.n}")
-        terms = {m: [(m, 1), (k, 1)] for m, k in sorted(self.translation.items())}
-        for p, m in self.arrows:
-            if m in terms:
-                terms[m].append((p, -1))
+        terms = {m: [(m, 1), (k, 1)] + [(p, -1) for p in self._preds[m]]
+                 for m, k in sorted(self.translation.items())}
         out = {}
         for m, support in terms.items():
             for l in terms:

@@ -24,7 +24,7 @@ Word = tuple[int, ...]
 
 FAMILIES = "ABCDEFG"
 
-MAX_WORDS = 100_000  # results of either word enumeration before CapExceeded
+MAX_WORDS = 100_000  # words of either enumeration, or orientations, before CapExceeded
 
 
 class NotReduced(ValueError):

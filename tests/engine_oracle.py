@@ -25,7 +25,9 @@ cones that `ktheory_cones` replaces by the heights of the rays of D^v;
 `quiverrep.is_adapted` keeps arrow counts. `euler_table_by_pairs` calls
 `euler_form` on every ordered pair of roots, where `RepContext` reads each
 row off packed columns, and `mesh_arrows_by_scan` scans forward for each
-neighbour's next position, where `RepContext` makes one backward pass. The
+neighbour's next position, where `RepContext` makes one backward pass;
+`reach_by_closure` closes those arrows into one set per position, where
+that pass ORs one int per position. `dim_vector` sums a module's roots. The
 tests compare each fast path against these.
 """
 
@@ -68,6 +70,19 @@ def mesh_arrows_by_scan(ctx) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(set(arrows)))
 
 
+def reach_by_closure(ctx) -> dict[int, set[int]]:
+    """The positions reachable from each k along the arrows of
+    `mesh_arrows_by_scan`, as sets closed backwards over the successors."""
+    succ = {k: set() for k in range(1, ctx.N + 1)}
+    for k, l in mesh_arrows_by_scan(ctx):
+        succ[k].add(l)
+    reach = {k: {k} for k in range(1, ctx.N + 1)}
+    for k in range(ctx.N, 0, -1):
+        for l in succ[k]:
+            reach[k] |= reach[l]
+    return reach
+
+
 def brute_multisets(target, columns, exact: bool = True) -> list[tuple[int, ...]]:
     """Every n >= 0 with sum n_t col_t <= target (== when exact), sorted."""
     if any(x < 0 for x in target):
@@ -108,10 +123,22 @@ def hom_dominated_sparse(ctx, x, y, zs) -> bool:
     return strict
 
 
+def dim_vector(ctx, m) -> tuple[int, ...]:
+    """Sum of m_t beta_t; DimensionMismatch unless m has one entry per
+    indecomposable."""
+    if len(m) != ctx.N:
+        raise DimensionMismatch(f"length mismatch: {len(m)} vs {ctx.N}")
+    out = [0] * ctx.n
+    for mk, beta in zip(m, ctx.betas):
+        if mk:
+            out = [a + mk * b for a, b in zip(out, beta)]
+    return tuple(out)
+
+
 def degenerates_properly_sparse(ctx, x, u, v) -> bool:
     """Same dimension vector as u + v and sparse Hom domination over all z."""
     y = tuple(a + b for a, b in zip(u, v))
-    if ctx.dim_vector(x) != ctx.dim_vector(y):
+    if dim_vector(ctx, x) != dim_vector(ctx, y):
         raise DimensionMismatch("dimension vectors do not add up")
     return hom_dominated_sparse(ctx, x, y, range(1, ctx.N + 1))
 
@@ -129,7 +156,7 @@ def extension_generators_by_pairs(ctx, bound: int) -> dict[tuple[int, ...], int]
     rows = [[ctx.hom_indec(z, t) for t in every] for z in every]
     for m in bounded_multisets((bound,), heights, exact=False):
         hom = tuple(dot(row, m) for row in rows)
-        by_dim.setdefault(ctx.dim_vector(m), []).append((m, hom))
+        by_dim.setdefault(dim_vector(ctx, m), []).append((m, hom))
     out: dict[tuple[int, ...], int] = {}
     for dim, group in by_dim.items():
         for x, hx in group:

@@ -45,10 +45,12 @@ from conekit.quiverrep import (
 from conekit.rootsys import (
     CapExceeded,
     cartan_matrix,
+    k_shift,
     langlands_dual,
     num_positive_roots,
     reflect_step,
     staircase_word,
+    tight_pairs,
 )
 from engine_oracle import (
     brute_extreme_rays,
@@ -56,6 +58,7 @@ from engine_oracle import (
     cone_generated_by,
     containment_witness,
     degenerates_properly_sparse,
+    dim_vector,
     dual_by_second_dd,
     euler_table_by_pairs,
     extension_generators_by_pairs,
@@ -65,6 +68,7 @@ from engine_oracle import (
     middle_terms_by_filter,
     nullspace_by_fractions,
     rank_by_fractions,
+    reach_by_closure,
     reduce_mod_rows_by_fractions,
     row_space_by_fractions,
 )
@@ -433,14 +437,25 @@ def _table_cases():
 
 
 def test_context_tables_match_the_pairwise_routes():
-    # The packed Euler rows, the one-pass mesh arrows, and the Hom fields
-    # read off the table's columns, against euler_form on every pair, a
-    # forward scan per neighbour and hom_indec one entry at a time.
+    # The packed Euler rows, the one-pass AR quiver (mesh arrows, τ, τ^-1,
+    # projectives, injectives and the path order as one int per position),
+    # and the Hom fields read off the table's columns, against euler_form on
+    # every pair, forward scans per position and neighbour, the set-based
+    # closure and hom_indec one entry at a time.
     for quiver, word in _table_cases():
         ctx = RepContext(quiver, word)
         every = range(1, ctx.N + 1)
         assert ctx._euler == euler_table_by_pairs(quiver, ctx.betas)
         assert ctx.arrows == mesh_arrows_by_scan(ctx)
+        assert list(ctx.translation.items()) == [(l, k) for k, l in tight_pairs(word)]
+        assert [ctx._next[k] or None for k in every] == [k_shift(word, k) for k in every]
+        assert ctx.projectives == tuple(k for k in every if word[k - 1] not in word[:k - 1])
+        assert ctx.injectives == tuple(k for k in every if word[k - 1] not in word[k:])
+        reach = reach_by_closure(ctx)
+        assert all(ctx.preceq(k, l) == (l in reach[k]) for k in every for l in every)
+        for outside in (0, ctx.N + 1):
+            with pytest.raises(KeyError):
+                ctx.preceq(outside, 1)
         assert ctx._fields == [b + tuple(ctx.hom_indec(z, t) for z in every)
                                for t, b in zip(every, ctx.betas)]
         assert ctx._units == tuple(tuple(int(t == k) for t in every) for k in every)
@@ -506,7 +521,7 @@ def _module_triple(draw):
 
     u, v = summands(), summands()
     if draw(st.booleans()):
-        dim = ctx.dim_vector(tuple(a + b for a, b in zip(u, v)))
+        dim = dim_vector(ctx, tuple(a + b for a, b in zip(u, v)))
         x = draw(st.sampled_from(bounded_multisets(dim, ctx.betas)))
     else:
         x = tuple(draw(st.lists(st.integers(0, 3), min_size=ctx.N, max_size=ctx.N)))

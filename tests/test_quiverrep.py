@@ -1,7 +1,6 @@
 import pytest
 
-from conekit import rootsys
-from conekit.polycone import DimensionMismatch
+from conekit import hallalg, rootsys
 from conekit.rootsys import CapExceeded, NotReduced, cartan_matrix
 from conekit.quiverrep import (
     ConsistencyFailure,
@@ -95,6 +94,31 @@ def test_adapted_words_share_the_word_cap(monkeypatch):
     monkeypatch.setattr(rootsys, "MAX_WORDS", 1)
     with pytest.raises(CapExceeded, match="more than 1 adapted words"):
         enumerate_adapted_words(q)
+
+
+def test_orientations_share_the_word_cap(monkeypatch):
+    # A4 has three edges, so eight orientations; the cap is read per call.
+    a4 = cartan_matrix("A", 4)
+    monkeypatch.setattr(rootsys, "MAX_WORDS", 7)
+    with pytest.raises(CapExceeded, match="^more than 7 orientations$"):
+        all_orientations(a4)
+    monkeypatch.setattr(rootsys, "MAX_WORDS", 8)
+    assert len(set(all_orientations(a4))) == 8
+
+
+@pytest.mark.parametrize("value", [2.7, 2.0])
+@pytest.mark.parametrize("call", [
+    lambda x: RepContext(parse_quiver("1>2"), (x, 1, 2)),
+    lambda x: quiver_from_arrows(2, [(1, x)]),
+    lambda x: hallalg.normalize_module([(1, x)]),
+    lambda x: hallalg.hall_product(2, ((1, 1),), ((x, 2),)),
+], ids=["RepContext", "quiver_from_arrows", "normalize_module", "hall_product"])
+def test_integer_inputs_are_checked_not_truncated(call, value):
+    # int() read 2.7 as 2 and accepted 2.0; a letter, an arrow end or an
+    # interval end must be an integer itself.
+    call(2)
+    with pytest.raises(TypeError):
+        call(value)
 
 
 def test_adapted_word_counts():
@@ -258,15 +282,6 @@ def test_middle_term_modes_agree_in_type_a():
                     assert ctx.middle_terms(k, l) == ctx.middle_terms(
                         k, l, mode="filter"
                     )
-
-
-def test_dim_vector_checks_length():
-    ctx = RepContext(equioriented_a(2), (2, 1, 2))
-    assert ctx.dim_vector((1, 0, 2)) == (2, 1)
-    # a multiplicity vector must have one entry per indecomposable
-    for m in ((1, 0, 0, 5), (1,)):
-        with pytest.raises(DimensionMismatch):
-            ctx.dim_vector(m)
 
 
 def test_degeneration_order_a2():
