@@ -32,8 +32,11 @@ from itertools import compress
 from operator import itemgetter, mul
 
 from .linalg import dot, integerize, pack, primitive, row_space_basis
+from .rootsys import CapExceeded
 
 IntVec = tuple[int, ...]
+
+MAX_DD_RAYS = 100_000  # rays held at once by one dd_vrep run
 
 
 class DimensionMismatch(ValueError):
@@ -105,7 +108,8 @@ def dd_vrep(dim: int, forms: list[IntVec]) -> tuple[list[IntVec], list[IntVec], 
     The rays come back primitive, reduced modulo the lineality space, and
     lexicographically sorted; the lineality basis is the canonical RREF one.
     The third list is aligned with the rays: bit i of its entry is set when
-    ``forms[i]`` is tight on that ray.
+    ``forms[i]`` is tight on that ray. Raises CapExceeded, read at call
+    time, before a step would hold more than MAX_DD_RAYS rays.
     """
     lineality: list[IntVec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
@@ -138,6 +142,8 @@ def dd_vrep(dim: int, forms: list[IntVec]) -> tuple[list[IntVec], list[IntVec], 
                     r = primitive(tuple(av * x - ar * y for x, y in zip(r, v)))
                 new_rays.append((r, zs | bit))
             # The pivot vector becomes the single ray off the new hyperplane.
+            if len(new_rays) == MAX_DD_RAYS:
+                raise CapExceeded(f"more than {MAX_DD_RAYS} rays in double description")
             new_rays.append((primitive(v), bit - 1))
             rays = new_rays
             continue
@@ -166,6 +172,8 @@ def dd_vrep(dim: int, forms: list[IntVec]) -> tuple[list[IntVec], list[IntVec], 
                         break
                 if not adjacent:
                     continue
+                if len(kept) == MAX_DD_RAYS:
+                    raise CapExceeded(f"more than {MAX_DD_RAYS} rays in double description")
                 w = primitive(tuple(vals[p] * x - vals[n] * y for x, y in zip(rn, rp)))
                 kept.append((w, common | bit))
         rays = kept

@@ -12,10 +12,11 @@ mesh arrows with each mesh's predecessors, and the path order as one int
 per position. It is cross-validated against the Euler form; any
 disagreement raises ConsistencyFailure rather than guessing.
 
-One capped walk, `_fillings`, enumerates modules: middle-term fillings, and
-through `bounded_multisets` the K-theory modules of bounded height. It
+One capped walk, `_fillings`, enumerates modules: middle-term fillings,
+`bounded_multisets`, and the K-theory modules of bounded height. It
 walks on packed integers, one guarded bit field per coordinate, some
-fields exact and the others upper bounds. An exact walk drops a
+fields exact and the others upper bounds, and returns beside each result
+the remainder it held there. An exact walk drops a
 remainder once a nonzero exact field has no later column to lower it. A
 `RepContext` packs each root once, its dimension vector and then its Hom
 column ([U_z, U_t])_z, at one width sized from θ, the coordinatewise
@@ -26,8 +27,9 @@ against one packed goal per Ext pair at a width sized from the pair.
 `oracle_middle_terms` walks one Ext pair per τ-orbit
 and carries its terms along the AR translation to the others (Happel's
 triangle autoequivalence), re-checking every carried term; `middle_terms`
-still walks any single pair. `hom_leq_strict`, the filter mode and the
-K-theory generators compare Hom dimensions by the same packed sums. The
+still walks any single pair. `hom_leq_strict` and the filter mode compare
+Hom dimensions by the same packed sums; the K-theory generators read each
+module's packed fields off the walk's remainder, target - remainder. The
 K-theory verdicts and witness come from the rays of the dual Hom-functional
 cone, each with its height: the AR mesh vectors, certified in integers as
 the basis dual to the Hom functionals, with no DD. The module walk then
@@ -39,7 +41,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import combinations, compress
 from math import gcd, lcm
 from operator import add, index, le, mul, sub
 
@@ -251,16 +253,18 @@ def bounded_multisets(target, columns, exact: bool = True) -> list[tuple[int, ..
     fields = pack([(1 << width) - 1] * len(target), width) if exact else 0
     guard = pack([1 << (width - 1)] * len(target), width)
     packed = [pack(columns[t], width) for t in fits]
-    return _fillings(pack(target, width), packed, fits, len(columns), width, guard, fields)
+    return _fillings(pack(target, width), packed, fits, len(columns), width, guard, fields)[0]
 
 
 def _fillings(target: int, columns: list[int], places, size: int, width: int,
-              guard: int, exact_fields: int) -> list[tuple[int, ...]]:
+              guard: int, exact_fields: int) -> tuple[list[tuple[int, ...]], list[int]]:
     """The packed walk of `bounded_multisets`: column i's coefficient goes to
     position places[i] of a size-long result. Fields in `exact_fields` must
     reach 0, the others are budgets (`RepContext.middle_terms` puts its Hom
     fields there), and every column must be nonzero in some exact field;
-    0 means an inexact walk. Each column must fit the target once.
+    0 means an inexact walk. Each column must fit the target once. Returns
+    the results and, beside each, the remainder the walk held there:
+    target - sum of n_i columns[i], packed.
 
     `stuck` is the only prune. A memo of exhausted remainders would never
     hit on the Hom-budget walk: there the remainder carries the Hom vector
@@ -277,21 +281,23 @@ def _fillings(target: int, columns: list[int], places, size: int, width: int,
         stuck[idx] = stuck[idx + 1] & ~(nonzero * full)
     filled = exact_fields or -1  # a remainder is done when these fields are 0
     out: list[tuple[int, ...]] = []
+    rests: list[int] = []
     chosen = [0] * size
 
-    def emit():
+    def emit(remaining: int):
         if len(out) >= MAX_MULTISETS:
             raise CapExceeded(f"more than {MAX_MULTISETS} modules to enumerate")
         out.append(tuple(chosen))
+        rests.append(remaining)
 
     def walk(idx: int, remaining: int):
         if not remaining & filled:
-            emit()  # every later column would need a coefficient of 0
+            emit(remaining)  # every later column would need a coefficient of 0
             return
         while True:
             if idx == last:
                 if not exact_fields:
-                    emit()
+                    emit(remaining)
                 return
             if remaining & stuck[idx]:
                 return
@@ -311,7 +317,7 @@ def _fillings(target: int, columns: list[int], places, size: int, width: int,
         chosen[place] = 0
 
     walk(0, target)
-    return out
+    return out, rests
 
 
 def _euler_row(quiver: DynkinQuiver, d) -> list[int]:
@@ -430,7 +436,9 @@ class RepContext:
         when U_k is injective); the mesh arrows k -> l to the next position l
         of each neighbour letter, kept per l as that mesh's predecessors; and
         the positions reachable from k as bits of one int, OR-ed from the
-        ends of k's arrows, which the backward order has already finished."""
+        ends of k's arrows, which the backward order has already finished.
+        A forward pass over the recorded predecessors then gives the
+        positions below each l, the same order read from the other end."""
         neighbors = [()] + [self.quiver.neighbors(v) for v in range(1, self.n + 1)]
         following = [0] * (self.n + 1)  # the next position of each letter
         self._next = inverse = [0] * (self.N + 1)  # τ^-1 k, or 0
@@ -448,6 +456,12 @@ class RepContext:
                     bits |= reach[l]
             reach[k] = bits
             following[letter] = k
+        self._downset = downset = {}  # keyed 1..N, as `_reach`
+        for l in range(1, self.N + 1):
+            bits = 1 << l
+            for p in preds[l]:
+                bits |= downset[p]
+            downset[l] = bits
         self.arrows = tuple(sorted(arrows))
         self.translation = {l: k for k, l in enumerate(inverse) if l}
         every = range(1, self.N + 1)
@@ -518,17 +532,20 @@ class RepContext:
         sums = [sum(k * table[t] for t, k in enumerate(m) if k) for m in modules]
         return width, guard, sums
 
-    def _hom_leq(self, x, y, zs) -> bool:
-        """[U_z, x] <= [U_z, y] for every z in zs, strictly for at least one."""
-        width, guard, (hx, hy) = self._packed(x, y)
-        mask = pack([0] * self.n + [int(z in zs) for z in range(1, self.N + 1)], width)
+    def _hom_leq(self, xs, y, zs: int) -> list[bool]:
+        """For each x of xs: [U_z, x] <= [U_z, y] for every position z whose
+        bit is set in zs, strictly for at least one. One width and one mask
+        serve every x."""
+        width, guard, (hy, *hxs) = self._packed(y, *xs)
+        mask = pack([0] * self.n + [zs >> z & 1 for z in range(1, self.N + 1)], width)
         mask *= (1 << width) - 1
-        hx, hy, guard = hx & mask, hy & mask, guard & mask
-        return hx != hy and (hy | guard) - hx & guard == guard
+        hy, guard = hy & mask, guard & mask
+        return [hx != hy and (hy | guard) - hx & guard == guard
+                for hx in (hx & mask for hx in hxs)]
 
     def hom_leq_strict(self, x, y) -> bool:
         """x properly degenerates to y: [Z,x] <= [Z,y] for all indec Z, once strict."""
-        return self._hom_leq(x, y, range(1, self.N + 1))
+        return self._hom_leq([x], y, (1 << self.N + 1) - 2)[0]
 
     def degenerates_properly(self, x, u, v) -> bool:
         """x and u + v have one dimension vector, and hom_leq_strict(x, u + v):
@@ -568,16 +585,15 @@ class RepContext:
         if mode == "oracle":
             guard, table = self._packing(width)
         else:  # the path-order window, dimension fields only
-            window = [
-                t for t in window if self.preceq(k, t + 1) and self.preceq(t + 1, l)
-            ]
+            between = self._reach[k] & self._downset[l]
+            window = [t for t in window if between >> t + 1 & 1]
             guard, table = self._dims_only
         goal = table[k - 1] + table[l - 1]
         window = [t for t in window if (goal | guard) - table[t] & guard == guard]
         columns = [table[t] for t in window]
-        out = _fillings(goal, columns, window, self.N, width, guard, self._dims)
+        out = _fillings(goal, columns, window, self.N, width, guard, self._dims)[0]
         if mode == "filter":
-            return [x for x in out if self._hom_window_condition(x, k, l)]
+            return self._hom_window_condition(out, k, l)
         if mode == "oracle":
             self._recheck(out, k, l)
         return out
@@ -686,8 +702,9 @@ class RepContext:
                 out[self.translation[t] - 1] = m
         return tuple(out)
 
-    def _hom_window_condition(self, x, k: int, l: int) -> bool:
-        # Hom comparison against U_l over {Z : tau^{-1}U_k <= Z <= U_l}. The
+    def _hom_window_condition(self, terms, k: int, l: int) -> list[Mult]:
+        # The terms X passing the Hom comparison against U_l over
+        # {Z : tau^{-1}U_k <= Z <= U_l}, one window and one mask per pair. The
         # top endpoint is included so the strictness requirement is satisfiable
         # in the almost-split case l = k[1], where the open range is empty;
         # there it holds automatically ([U_l, X] = 0 < [U_l, U_l]).
@@ -696,9 +713,8 @@ class RepContext:
             raise ConsistencyFailure(
                 f"Ext1(U_{l},U_{k}) != 0 but U_{k} has no later occurrence"
             )
-        # mesh arrows ascend (`_validate`), so the window lies in k1..l
-        zs = {z for z in range(k1, l + 1) if self.preceq(k1, z) and self.preceq(z, l)}
-        return self._hom_leq(x, self.unit(l), zs)
+        zs = self._reach[k1] & self._downset[l]
+        return list(compress(terms, self._hom_leq(terms, self.unit(l), zs)))
 
     def superfluous_check(self) -> dict:
         """Compare the relaxed window filter against the degeneration oracle.
@@ -774,38 +790,52 @@ class RepContext:
         height of y.
 
         One walk to the bound: `ktheory_cones` asks for b, or for b + 1 only
-        when `stabilized` needs E_{b+1}. Each module is packed from
-        `_packing`, its dimension fields and then its Hom fields, at a width
-        where no field of a module of height h <= bound (at most
-        theta . dim, so at most max(theta) h) reaches the guard bit. Modules
-        are grouped by their dimension fields, and packed again inside their
-        group: keeping every packed sum until the groups are done would hold
-        one more int per module at the peak. In a group every module is
-        nonzero, so two of disjoint support differ, and their Hom fields
-        differ too (the Hom table is unitriangular): the guard-bit test is
-        then strict.
+        when `stabilized` needs E_{b+1}. The walk's columns are the roots as
+        `_packing` gives them, dimension fields and then Hom fields, with
+        each root's height in a field above them. The target has bound in
+        the height field and 2^(w-1) - 1, one below the guard bit, in every
+        other. No field of a module of height h <= bound reaches the guard
+        bit at the width w chosen here: it is at most theta . dim, so at most
+        max(theta) h < 2^(w-1). So only the height field prunes, and the
+        remainder `_fillings` returns beside a module m gives its packed
+        fields as target - remainder, with no carry between fields.
+
+        Modules are grouped by their dimension fields and kept with their
+        packed fields. In a group every module is nonzero, so two of disjoint
+        support differ, and their Hom fields differ too (the Hom table is
+        unitriangular): the guard-bit test is then strict. Support bits and
+        gcd are taken only in groups of two or more. Each unordered pair is
+        tested once, in one direction: let t be the last position in the
+        union of the two supports. By directedness [U_t, m] = m_t for either
+        module, so x <= y forces t into the support of y, which is then the
+        larger of the two as an int of support bits; a group sorted by those
+        ints puts y after x.
         """
         width = (max(self._theta) * bound).bit_length() + 1
         guard, table = self._packing(width)
-        dims = (1 << width * self.n) - 1
-        bits = [1 << t for t in range(self.N)]
+        top = width * (self.n + self.N)  # the height field sits above the rest
         heights = [sum(b) for b in self.betas]
+        fits = [t for t, h in enumerate(heights) if h <= bound]
+        target = guard - (guard >> width - 1) | bound << top
+        guard |= 1 << top + width - 1
+        modules, rests = _fillings(target, [table[t] | heights[t] << top for t in fits],
+                                   fits, self.N, width, guard, 0)
+        dims = (1 << width * self.n) - 1
         groups: dict[int, list] = {}
-        for m in bounded_multisets((bound,), [(h,) for h in heights], exact=False):
-            packed = sum(map(mul, compress(table, m), compress(m, m)))
-            groups.setdefault(packed & dims, []).append(m)
+        for m, rest in zip(modules, rests):
+            packed = target - rest
+            groups.setdefault(packed & dims, []).append((packed, m))
+        bits = [1 << t for t in range(self.N)]
         out: dict[Mult, int] = {}
         for group in groups.values():
             if len(group) < 2:
                 continue
-            height = dot(group[0], heights)
-            group = [(m, sum(map(mul, compress(table, m), compress(m, m))),
-                      sum(compress(bits, m)), gcd(*m)) for m in group]
-            for x, hx, sx, cx in group:
-                for y, hy, sy, cy in group:
-                    if (not sx & sy and gcd(cx, cy) == 1
-                            and (hy | guard) - hx & guard == guard):
-                        out[tuple(map(sub, y, x))] = height
+            height = group[0][0] >> top
+            group = sorted((sum(compress(bits, m)), gcd(*m), packed, m) for packed, m in group)
+            for (sx, cx, hx, x), (sy, cy, hy, y) in combinations(group, 2):
+                if (not sx & sy and gcd(cx, cy) == 1
+                        and (hy | guard) - hx & guard == guard):
+                    out[tuple(map(sub, y, x))] = height
         return out
 
     def default_ktheory_bound(self) -> int:

@@ -88,15 +88,20 @@ def _symmetrizers(entries) -> tuple[int, ...]:
 
 
 def _is_positive_definite(entries, sym) -> bool:
-    """Sylvester's criterion: all elimination pivots of D.A are positive."""
-    n = len(entries)
-    b = [[Fraction(sym[i] * entries[i][j]) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        if b[c][c] <= 0:
+    """Sylvester's criterion: every leading principal minor of D.A is
+    positive. Bareiss's fraction-free elimination leaves the k-th leading
+    minor as the k-th pivot, and each of its divisions is exact."""
+    b = [[d * x for x in row] for d, row in zip(sym, entries)]
+    prev = 1
+    for c, top in enumerate(b):
+        pivot = top[c]
+        if pivot <= 0:
             return False
-        for r in range(c + 1, n):
-            f = b[r][c] / b[c][c]
-            b[r] = [x - f * y for x, y in zip(b[r], b[c])]
+        for row in b[c + 1:]:
+            f = row[c]
+            row[c + 1:] = [(pivot * x - f * y) // prev
+                           for x, y in zip(row[c + 1:], top[c + 1:])]
+        prev = pivot
     return True
 
 

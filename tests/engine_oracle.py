@@ -27,8 +27,10 @@ cones that `ktheory_cones` replaces by the heights of the rays of D^v;
 row off packed columns, and `mesh_arrows_by_scan` scans forward for each
 neighbour's next position, where `RepContext` makes one backward pass;
 `reach_by_closure` closes those arrows into one set per position, where
-that pass ORs one int per position. `dim_vector` sums a module's roots. The
-tests compare each fast path against these.
+that pass ORs one int per position. `dim_vector` sums a module's roots.
+`positive_definite_by_fractions` eliminates in `Fraction`s, where
+`rootsys._is_positive_definite` runs Bareiss's fraction-free elimination.
+The tests compare each fast path against these.
 """
 
 from __future__ import annotations
@@ -291,3 +293,17 @@ def containment_witness(a, b) -> dict:
         if found is not None and found[0] in small.rays:
             return {"ray_of": ray_of, "ray": list(found[0])}
     return {"note": "cones differ only in lineality"}
+
+
+def positive_definite_by_fractions(entries, sym) -> bool:
+    """Sylvester's criterion by Gaussian elimination over Q: every pivot of
+    D.A is positive."""
+    n = len(entries)
+    b = [[Fraction(sym[i] * entries[i][j]) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        if b[c][c] <= 0:
+            return False
+        for r in range(c + 1, n):
+            f = b[r][c] / b[c][c]
+            b[r] = [x - f * y for x, y in zip(b[r], b[c])]
+    return True

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from conekit import conelab, hallalg
+from conekit import conelab, hallalg, polycone
 from conekit.cli import run
 from conekit.hallalg import CountInconsistent, InterpolationInconsistent, SplitTermSurvived
 from conekit.quiverrep import ConsistencyFailure
@@ -215,6 +215,21 @@ def test_ktheory_walks_to_the_bound_above_b_star(capsys):
     assert code == 1
     assert out == ""
     assert err == "conekit: error: more than 100000 modules to enumerate\n"
+
+
+def test_dd_ray_cap_exits_one(capsys, monkeypatch):
+    # At bound 7 `stabilized` expands the dual of E_7, whose double
+    # description holds at most 200 rays at once.
+    argv = ["quiver", "ktheory", "--quiver", "1>2,3>2,4>2",
+            "--word", "2,1,3,4,2,1,3,4,2,1,3,4", "--bound", "7"]
+    monkeypatch.setattr(polycone, "MAX_DD_RAYS", 200)
+    code, out, _ = _invoke(capsys, argv)
+    assert code == 2 and json.loads(out)["result"]["stabilized"] is True
+    monkeypatch.setattr(polycone, "MAX_DD_RAYS", 199)
+    code, out, err = _invoke(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == "conekit: error: more than 199 rays in double description\n"
 
 
 def test_roots_words_rejects_large_types_up_front(capsys):

@@ -188,7 +188,7 @@ def test_filling_walk_with_budgets_matches_brute_force(problem, exact):
     fits = [t for t, col in enumerate(columns) if all(map(le, col, target))]
     width = max(target).bit_length() + 1
     full = [(1 << width) - 1] * len(exact_part)
-    got = quiverrep._fillings(
+    got, rests = quiverrep._fillings(
         quiverrep.pack(target, width),
         [quiverrep.pack(columns[t], width) for t in fits],
         fits,
@@ -207,6 +207,13 @@ def test_filling_walk_with_budgets_matches_brute_force(problem, exact):
             )
         ]
     assert got == want
+    # beside each result, the remainder the walk held: the target less the
+    # chosen columns, field by field
+    assert rests == [
+        quiverrep.pack([x - sum(m * col[i] for m, col in zip(n, columns))
+                        for i, x in enumerate(target)], width)
+        for n in got
+    ]
 
 
 def test_bounded_multisets_edge_cases():
@@ -253,16 +260,23 @@ def _ktheory_cases():
 
 
 def test_packed_hom_comparison_matches_sparse_reference():
-    # The generators from pairs of disjoint support, compared by packed Hom
-    # fields, against every pair compared by the sparse sum: the same
-    # primitive differences, each at the least height where it occurs.
+    # The generators from pairs of disjoint support, compared by the packed
+    # fields read off the walk's remainders, against every pair compared by
+    # the sparse sum: the same primitive differences, each at the least
+    # height where it occurs. Each case runs at its default bound b and at
+    # b - 1 and b + 1; the D4 word (2,1,3,4)*3 also at 6-8, below its
+    # B* = 9, where `stabilized` walks one height past the bound.
     cases = 0
     for quiver, word in _ktheory_cases():
         ctx = quiverrep.RepContext(quiver, word)
-        bound = ctx.default_ktheory_bound()
-        assert ctx._extension_generators(bound) == extension_generators_by_pairs(ctx, bound)
+        b = ctx.default_ktheory_bound()
+        for bound in (b - 1, b, b + 1):
+            assert ctx._extension_generators(bound) == extension_generators_by_pairs(ctx, bound)
         cases += 1
     assert cases == 14
+    ctx = quiverrep.RepContext(D4_STAR, (2, 1, 3, 4) * 3)
+    for bound in (6, 7, 8):
+        assert ctx._extension_generators(bound) == extension_generators_by_pairs(ctx, bound)
 
 
 # -- K-theory verdicts from the rays of D^v against E's double description
@@ -438,7 +452,8 @@ def _table_cases():
 
 def test_context_tables_match_the_pairwise_routes():
     # The packed Euler rows, the one-pass AR quiver (mesh arrows, τ, τ^-1,
-    # projectives, injectives and the path order as one int per position),
+    # projectives, injectives and the path order as one int per position,
+    # read from either end),
     # and the Hom fields read off the table's columns, against euler_form on
     # every pair, forward scans per position and neighbour, the set-based
     # closure and hom_indec one entry at a time.
@@ -453,9 +468,13 @@ def test_context_tables_match_the_pairwise_routes():
         assert ctx.injectives == tuple(k for k in every if word[k - 1] not in word[k:])
         reach = reach_by_closure(ctx)
         assert all(ctx.preceq(k, l) == (l in reach[k]) for k in every for l in every)
+        assert all(bool(ctx._downset[l] >> k & 1) == (l in reach[k])
+                   for k in every for l in every)
         for outside in (0, ctx.N + 1):
             with pytest.raises(KeyError):
                 ctx.preceq(outside, 1)
+            with pytest.raises(KeyError):
+                ctx._downset[outside]
         assert ctx._fields == [b + tuple(ctx.hom_indec(z, t) for z in every)
                                for t, b in zip(every, ctx.betas)]
         assert ctx._units == tuple(tuple(int(t == k) for t in every) for k in every)
@@ -546,7 +565,9 @@ def test_packed_degeneration_matches_sparse_reference(problem):
     every = range(1, ctx.N + 1)
     assert ctx.hom_leq_strict(x, y) == hom_dominated_sparse(ctx, x, y, every)
     assert ctx.hom_leq_strict(y, x) == hom_dominated_sparse(ctx, y, x, every)
-    assert ctx._hom_leq(x, y, zs) == hom_dominated_sparse(ctx, x, y, zs)
+    bits = sum(1 << z for z in zs)
+    assert ctx._hom_leq([x, y], y, bits) == [
+        hom_dominated_sparse(ctx, m, y, zs) for m in (x, y)]
     assert _outcome(ctx.degenerates_properly, x, u, v) == _outcome(
         degenerates_properly_sparse, ctx, x, u, v
     )

@@ -14,6 +14,7 @@ from conekit.polycone import (
     normalize_form,
     with_lines,
 )
+from conekit.rootsys import CapExceeded
 from engine_oracle import cone_generated_by, containment_witness
 
 
@@ -65,6 +66,18 @@ def test_trivial_cone_has_no_interior_point():
     assert cone.lineality == ()
     with pytest.raises(ZeroCone):
         cone.interior_point()
+
+
+def test_dd_ray_cap(monkeypatch):
+    # The cone over a square: three pivots give three rays, the fourth form
+    # cuts one of them into two, so four rays at most are held at once.
+    square = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
+    monkeypatch.setattr(polycone, "MAX_DD_RAYS", 4)
+    assert len(polycone.dd_vrep(3, square)[0]) == 4
+    for cap in (3, 0):  # the cut, then the first pivot, would pass the cap
+        monkeypatch.setattr(polycone, "MAX_DD_RAYS", cap)
+        with pytest.raises(CapExceeded, match=f"^more than {cap} rays in double description$"):
+            polycone.dd_vrep(3, square)
 
 
 def test_dimension_mismatch():

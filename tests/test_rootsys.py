@@ -1,7 +1,7 @@
 """Cartan matrices, reduced words, and root sequences."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conekit import rootsys
 from conekit.rootsys import (
@@ -19,6 +19,7 @@ from conekit.rootsys import (
     positive_roots,
     staircase_word,
 )
+from engine_oracle import positive_definite_by_fractions
 
 A2 = cartan_matrix("A", 2)
 A3 = cartan_matrix("A", 3)
@@ -52,6 +53,56 @@ def test_cartan_from_entries_validates():
         cartan_from_entries(((2, 1), (1, 2)))
     with pytest.raises(ValueError):
         cartan_from_entries(((2, -1), (-1, 0)))
+
+
+FINITE_TYPES = (
+    [("A", n) for n in range(1, 9)]
+    + [(family, n) for family in "BC" for n in range(2, 9)]
+    + [("D", n) for n in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+NOT_FINITE = [
+    ((2, -2), (-2, 2)),  # affine A1
+    ((2, -1, 0, -1), (-1, 2, -1, 0), (0, -1, 2, -1), (-1, 0, -1, 2)),  # affine A3
+    ((2, -3), (-3, 2)),  # hyperbolic rank 2
+]
+
+
+def test_sylvester_by_bareiss_matches_fractions():
+    for family, n in FINITE_TYPES:
+        c = cartan_matrix(family, n)
+        for entries in (c.entries, langlands_dual(c).entries):
+            sym = rootsys._symmetrizers(entries)
+            assert rootsys._is_positive_definite(entries, sym)
+            assert positive_definite_by_fractions(entries, sym)
+    for entries in NOT_FINITE:
+        sym = rootsys._symmetrizers(entries)
+        assert not rootsys._is_positive_definite(entries, sym)
+        assert not positive_definite_by_fractions(entries, sym)
+        with pytest.raises(ValueError, match="^matrix is not of finite type$"):
+            cartan_from_entries(entries)
+
+
+_EDGES = [(0, 0), (-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1), (-2, -2), (-1, -4)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.sampled_from(_EDGES),
+                                             min_size=n * (n - 1) // 2,
+                                             max_size=n * (n - 1) // 2))))
+def test_sylvester_by_bareiss_matches_fractions_on_random_matrices(problem):
+    n, edges = problem
+    entries = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j), (a, b) in zip(pairs, edges):
+        entries[i][j], entries[j][i] = a, b
+    try:
+        sym = rootsys._symmetrizers(entries)
+    except ValueError:
+        assume(False)  # not symmetrizable
+    assert rootsys._is_positive_definite(entries, sym) == positive_definite_by_fractions(
+        entries, sym)
 
 
 def test_langlands_dual_transposes():
