@@ -18,12 +18,12 @@ from .rootsys import (
     cartan_matrix,
     enumerate_reduced_words,
     highest_root,
-    k_shift,
     langlands_dual,
     num_positive_roots,
     parse_type,
     positive_roots,
     staircase_word,
+    tight_pairs,
 )
 from .polycone import (
     ConeProfile,

@@ -24,7 +24,7 @@ from operator import index
 from types import MappingProxyType
 
 from .quiverrep import RepContext, equioriented_a, euler_form
-from .rootsys import VerificationFailure, k_shift
+from .rootsys import VerificationFailure, tight_pairs
 
 Interval = tuple[int, int]
 Module = tuple[Interval, ...]  # sorted multiset of intervals
@@ -452,6 +452,7 @@ def _hall_polynomials(n: int, v: Module, w: Module) -> MappingProxyType:
 
 def hall_polynomial(n: int, v: Module, w: Module, x: Module) -> LaurentPoly:
     """The counting polynomial H^X_{V,W}: submodules W with quotient V."""
+    v, w, x = map(normalize_module, (v, w, x))
     _check_scale(n, x)
     dx = dim_vector(n, x)
     if tuple(a + b for a, b in zip(dim_vector(n, v), dim_vector(n, w))) != dx:
@@ -622,7 +623,9 @@ def verify_term_theorem(quiver, word, k: int) -> dict:
     """
     _require_equioriented(quiver)
     ctx = RepContext(quiver, word)
-    l = k_shift(ctx.word, k)
+    if not 1 <= k <= ctx.N:
+        raise ValueError(f"position {k} out of range")
+    l = dict(tight_pairs(ctx.word)).get(k)
     if l is None:
         raise ValueError(f"position {k} has no later occurrence of its letter")
     n = quiver.n

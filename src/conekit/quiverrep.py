@@ -186,40 +186,50 @@ def all_orientations(cartan: CartanMatrix) -> list[DynkinQuiver]:
     return out
 
 
-def is_adapted(quiver: DynkinQuiver, word) -> bool:
-    """True when each letter is a sink of the successively reflected quiver.
-
-    The walk keeps only each vertex's count of outgoing arrows. Reflecting
-    at a sink v turns its incoming arrows around: v gains one outgoing arrow
-    per neighbour, and each neighbour loses one.
-    """
-    n = quiver.n
-    out = [0] * (n + 1)
-    ends: list[list[int]] = [[] for _ in range(n + 1)]
+def _sink_walk(quiver: DynkinQuiver):
+    """Each vertex's count of outgoing arrows (index 0 unused), and the step
+    that reflects them at a sink v: v gains one outgoing arrow per
+    neighbour, and each neighbour loses one."""
+    out = [0] * (quiver.n + 1)
+    ends: list[list[int]] = [[] for _ in out]
     for s, t in quiver.arrows:
         out[s] += 1
         ends[s].append(t)
         ends[t].append(s)
+
+    def reflect(out, v):
+        out = list(out)
+        out[v] = len(ends[v])
+        for u in ends[v]:
+            out[u] -= 1
+        return out
+
+    return out, reflect
+
+
+def is_adapted(quiver: DynkinQuiver, word) -> bool:
+    """True when each letter is a sink of the successively reflected quiver,
+    from the arrow counts of `_sink_walk`."""
+    out, reflect = _sink_walk(quiver)
     for letter in word:
-        if not 1 <= letter <= n or out[letter]:
+        if not 1 <= letter <= quiver.n or out[letter]:
             return False
-        out[letter] = len(ends[letter])
-        for v in ends[letter]:
-            out[v] -= 1
+        out = reflect(out, letter)
     return True
 
 
 def enumerate_adapted_words(quiver: DynkinQuiver) -> list[Word]:
     """All reduced words of the longest element that are sink sequences.
 
-    Full-length sink sequences need not be reduced (reflecting at a sink can
-    revisit a reflection too early), so the search prunes on both the sink
-    condition and positivity of the upcoming root. Raises CapExceeded past
-    ``rootsys.MAX_WORDS`` words.
+    The weight walk of `longest_words` carries `_sink_walk`'s arrow counts
+    and tries the sinks in increasing order. A full sink sequence need not
+    be reduced, so a sink is kept only while it lengthens the word. Raises
+    CapExceeded past ``rootsys.MAX_WORDS`` words.
     """
+    out, reflect = _sink_walk(quiver)
     return longest_words(
-        quiver.cartan, "adapted words", quiver,
-        lambda q: sorted(q.sinks()), DynkinQuiver.reflected,
+        quiver.cartan, "adapted words", out,
+        lambda out: [v for v in range(1, len(out)) if not out[v]], reflect,
     )
 
 

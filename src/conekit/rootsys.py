@@ -106,8 +106,9 @@ def _is_positive_definite(entries, sym) -> bool:
 
 
 def cartan_from_entries(entries, label: str = "") -> CartanMatrix:
-    """Validate an integer matrix as finite-type Cartan data."""
-    rows = tuple(tuple(int(x) for x in row) for row in entries)
+    """Validate an integer matrix as finite-type Cartan data; a non-int
+    entry (a float such as 2.0 included) raises TypeError."""
+    rows = tuple(tuple(map(index, row)) for row in entries)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
@@ -216,14 +217,6 @@ def langlands_dual(c: CartanMatrix) -> CartanMatrix:
     return cartan_from_entries(entries, label)
 
 
-def _is_positive(v: RootVector) -> bool:
-    return any(x > 0 for x in v) and all(x >= 0 for x in v)
-
-
-def _identity(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def reflect_step(c: CartanMatrix, m, letter: int):
     """``(beta, m . s_letter)``, where ``m`` (a tuple of rows) is the matrix of
     ``s_{i_1} ... s_{i_{t-1}}`` and ``beta`` is its column ``letter``.
@@ -265,58 +258,49 @@ def _beta_sequence(c: CartanMatrix, word: Word) -> tuple[RootVector, ...]:
         if not 1 <= letter <= n:
             raise ValueError(f"letter {letter} out of range at position {t}")
     betas: list[RootVector] = []
-    m = _identity(n)
+    m = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     for t, letter in enumerate(word, start=1):
         beta, m = reflect_step(c, m, letter)
-        if not _is_positive(beta):
+        if min(beta) < 0 or not any(beta):
             raise NotReduced(t)
         betas.append(beta)
     return tuple(betas)
 
 
-def k_shift(word: Word, k: int) -> int | None:
-    """Position of the next later occurrence of letter ``word[k-1]``, or None.
-
-    >>> k_shift((1, 2, 1, 2), 1)
-    3
-    >>> k_shift((1, 2, 1, 2), 3) is None
-    True
-    """
-    if not 1 <= k <= len(word):
-        raise ValueError(f"position {k} out of range")
-    letter = word[k - 1]
-    for t in range(k + 1, len(word) + 1):
-        if word[t - 1] == letter:
-            return t
-    return None
-
-
 def tight_pairs(word: Word) -> list[tuple[int, int]]:
-    """Each position with the next occurrence of its letter, in order."""
-    return [
-        (p, nxt) for p in range(1, len(word) + 1)
-        if (nxt := k_shift(word, p)) is not None
-    ]
+    """Each position with the next occurrence of its letter, in order; one
+    backward pass keeps each letter's next position.
+
+    >>> tight_pairs((1, 2, 1, 2))
+    [(1, 3), (2, 4)]
+    """
+    nxt: dict[int, int] = {}
+    pairs = []
+    for p in range(len(word), 0, -1):
+        if (l := nxt.get(word[p - 1])) is not None:
+            pairs.append((p, l))
+        nxt[word[p - 1]] = p
+    return pairs[::-1]
+
+
+def _reflect_weight(c: CartanMatrix, lam: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """s_i (0-based i) on a weight in fundamental-weight coordinates."""
+    x = lam[i]
+    return tuple(y - x * row[i] for y, row in zip(lam, c.entries))
 
 
 @lru_cache(maxsize=None)
 def positive_roots(c: CartanMatrix) -> tuple[RootVector, ...]:
     """All positive roots, sorted by (height, coordinates).
 
-    They are the roots of any reduced word of w0, and a greedy walk finds
-    one: a letter whose root is positive lengthens the word, and only at w0
-    is no such letter left.
+    They are the roots of any reduced word of w0, and the weight walk of
+    `longest_words`, taking the first letter that lengthens w, finds one.
     """
-    roots, m = [], _identity(c.rank)
-    while True:
-        for letter in range(1, c.rank + 1):
-            beta, m2 = reflect_step(c, m, letter)
-            if _is_positive(beta):
-                roots.append(beta)
-                m = m2
-                break
-        else:
-            return tuple(sorted(roots, key=lambda v: (sum(v), v)))
+    lam, word = (1,) * c.rank, []
+    while (i := next((i for i, x in enumerate(lam) if x > 0), None)) is not None:
+        word.append(i + 1)
+        lam = _reflect_weight(c, lam, i)
+    return tuple(sorted(_beta_sequence(c, tuple(word)), key=lambda v: (sum(v), v)))
 
 
 def num_positive_roots(c: CartanMatrix) -> int:
@@ -328,44 +312,44 @@ def highest_root(c: CartanMatrix) -> RootVector:
 
 
 def longest_words(c: CartanMatrix, what: str, state, letters, advance):
-    """Longest-element words from one reflection walk over ``letters(state)``.
+    """Longest-element words from one weight walk over ``letters(state)``.
 
-    A letter is kept while its root stays positive; ``advance`` gives the
-    next state. Raises CapExceeded past ``MAX_WORDS`` words.
+    It holds lam = w^-1(rho) in fundamental-weight coordinates: letter i
+    lengthens w exactly when lam_i > 0, and then lam becomes s_i lam;
+    ``advance`` gives the next state. CapExceeded past ``MAX_WORDS`` words.
     """
     total = num_positive_roots(c)
     out: list[Word] = []
 
-    def walk(state, m, prefix: list[int]):
+    def walk(state, lam, prefix: list[int]):
         if len(prefix) == total:
             if len(out) >= MAX_WORDS:
                 raise CapExceeded(f"more than {MAX_WORDS} {what}")
             out.append(tuple(prefix))
             return
         for letter in letters(state):
-            beta, m2 = reflect_step(c, m, letter)
-            if _is_positive(beta):
+            if lam[letter - 1] > 0:
                 prefix.append(letter)
-                walk(advance(state, letter), m2, prefix)
+                walk(advance(state, letter), _reflect_weight(c, lam, letter - 1), prefix)
                 prefix.pop()
 
-    walk(state, _identity(c.rank), [])
+    walk(state, (1,) * c.rank, [])
     return out
 
 
 def enumerate_reduced_words(c: CartanMatrix) -> list[Word]:
-    """All reduced words of the longest element, in lexicographic order.
+    """All reduced words of the longest element, in lexicographic order,
+    from the weight walk of `longest_words`.
 
     Raises CapExceeded before the walk when there are more than
     ``MAX_WORDS``. They are counted layer by layer of the weak order, each
-    w keyed by w(rho) in the basis of fundamental weights: s_i w is longer
-    than w exactly when coordinate i of w(rho) is positive, and s_i
-    subtracts that coordinate times column i of the Cartan matrix. Every
-    reduced word of w extends to one of w0, so a layer's total is a lower
-    bound on the count and the last layer's total is the count (768 for
-    A_4, 2,316 for D_4, 24,024 for B_4). The count stops at the first layer
-    past the cap, and a layer has no more elements than words, so it visits
-    at most N * ``MAX_WORDS`` of them.
+    w keyed by w(rho) with the walk's step: s_i w is longer than w exactly
+    when coordinate i of w(rho) is positive. Every reduced word of w
+    extends to one of w0, so a layer's total is a lower bound on the count
+    and the last layer's total is the count (768 for A_4, 2,316 for D_4,
+    24,024 for B_4). The count stops at the first layer past the cap, and a
+    layer has no more elements than words, so it visits at most
+    N * ``MAX_WORDS`` of them.
     """
     n = c.rank
     layer = {(1,) * n: 1}
@@ -374,7 +358,7 @@ def enumerate_reduced_words(c: CartanMatrix) -> list[Word]:
         for lam, words in layer.items():
             for i, x in enumerate(lam):
                 if x > 0:
-                    key = tuple(y - x * row[i] for y, row in zip(lam, c.entries))
+                    key = _reflect_weight(c, lam, i)
                     longer[key] = longer.get(key, 0) + words
         if sum(longer.values()) > MAX_WORDS:
             raise CapExceeded(f"more than {MAX_WORDS} reduced words")

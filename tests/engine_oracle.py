@@ -30,6 +30,13 @@ neighbour's next position, where `RepContext` makes one backward pass;
 that pass ORs one int per position. `dim_vector` sums a module's roots.
 `positive_definite_by_fractions` eliminates in `Fraction`s, where
 `rootsys._is_positive_definite` runs Bareiss's fraction-free elimination.
+`reduced_words_by_matrix`, `adapted_words_by_matrix` and
+`positive_roots_by_matrix` step the n x n matrix of w with
+`rootsys.reflect_step` and keep a letter while its root is positive, where
+`rootsys.longest_words` and `rootsys.positive_roots` walk the weight
+w^-1(rho) and `enumerate_adapted_words` carries arrow counts, not quivers;
+`k_shift` scans forward from each position, where `rootsys.tight_pairs`
+makes one backward pass.
 The tests compare each fast path against these.
 """
 
@@ -42,7 +49,8 @@ from operator import le
 
 from conekit.linalg import dot, nullspace_basis, primitive
 from conekit.polycone import DimensionMismatch, RationalCone, dd_vrep, with_lines
-from conekit.quiverrep import bounded_multisets, euler_form
+from conekit.quiverrep import DynkinQuiver, bounded_multisets, euler_form
+from conekit.rootsys import num_positive_roots, reflect_step
 
 
 def is_adapted_by_reflection(quiver, word) -> bool:
@@ -307,3 +315,66 @@ def positive_definite_by_fractions(entries, sym) -> bool:
             f = b[r][c] / b[c][c]
             b[r] = [x - f * y for x, y in zip(b[r], b[c])]
     return True
+
+
+def _identity(n: int):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _is_positive(beta) -> bool:
+    return any(beta) and min(beta) >= 0
+
+
+def _longest_words_by_matrix(c, state, letters, advance) -> list[tuple[int, ...]]:
+    """Every longest-element word over ``letters(state)``, in the order
+    tried, keeping a letter while its root (a column of the matrix of the
+    prefix) is positive."""
+    total = num_positive_roots(c)
+    out = []
+
+    def walk(state, m, prefix):
+        if len(prefix) == total:
+            out.append(tuple(prefix))
+            return
+        for letter in letters(state):
+            beta, m2 = reflect_step(c, m, letter)
+            if _is_positive(beta):
+                walk(advance(state, letter), m2, prefix + [letter])
+
+    walk(state, _identity(c.rank), [])
+    return out
+
+
+def reduced_words_by_matrix(c) -> list[tuple[int, ...]]:
+    letters = range(1, c.rank + 1)
+    return _longest_words_by_matrix(c, None, lambda _: letters, lambda state, _: state)
+
+
+def adapted_words_by_matrix(quiver) -> list[tuple[int, ...]]:
+    """Sinks in increasing order, with a new reflected quiver per letter."""
+    return _longest_words_by_matrix(
+        quiver.cartan, quiver, lambda q: sorted(q.sinks()), DynkinQuiver.reflected)
+
+
+def positive_roots_by_matrix(c) -> tuple[tuple[int, ...], ...]:
+    """The roots of the greedy matrix walk (first letter whose root is
+    positive), sorted by (height, coordinates)."""
+    roots, m = [], _identity(c.rank)
+    while True:
+        for letter in range(1, c.rank + 1):
+            beta, m2 = reflect_step(c, m, letter)
+            if _is_positive(beta):
+                roots.append(beta)
+                m = m2
+                break
+        else:
+            return tuple(sorted(roots, key=lambda v: (sum(v), v)))
+
+
+def k_shift(word, k: int):
+    """Position of the next later occurrence of letter ``word[k-1]``, or
+    None, by a forward scan."""
+    if not 1 <= k <= len(word):
+        raise ValueError(f"position {k} out of range")
+    later = range(k + 1, len(word) + 1)
+    return next((t for t in later if word[t - 1] == word[k - 1]), None)

@@ -45,7 +45,6 @@ from conekit.quiverrep import (
 from conekit.rootsys import (
     CapExceeded,
     cartan_matrix,
-    k_shift,
     langlands_dual,
     num_positive_roots,
     reflect_step,
@@ -64,6 +63,7 @@ from engine_oracle import (
     extension_generators_by_pairs,
     hom_dominated_sparse,
     integerize_by_fractions,
+    k_shift,
     mesh_arrows_by_scan,
     middle_terms_by_filter,
     nullspace_by_fractions,

@@ -101,6 +101,19 @@ def test_hall_polynomial_pinned_values():
     assert hall_polynomial(2, S1, S1, parse_module("1-2")).is_zero()
 
 
+def test_hall_polynomial_normalizes_its_modules():
+    # x in any interval order is one class; an interval out of order or
+    # starting at 0 is no class at all, in any of the three slots
+    assert hall_polynomial(3, ((2, 3),), ((3, 3),), ((3, 3), (2, 3))) == _q(1)
+    good = (((2, 3),), ((3, 3),), ((2, 3), (3, 3)))
+    for slot in range(3):
+        for bad in (((0, 3),), ((3, 2),)):
+            modules = list(good)
+            modules[slot] = bad
+            with pytest.raises(ValueError, match=r"^bad interval"):
+                hall_polynomial(3, *modules)
+
+
 def test_hall_product_a2_split_and_extension():
     prod = hall_product(2, S1, S2)
     terms = {format_module(m): c for m, c in prod.terms.items()}
@@ -147,6 +160,17 @@ def test_divided_powers_give_bare_basis_classes():
     assert terms(2, "1-2", "1-1^2") == {"1-1,1-1,1-2": LaurentPoly.one()}
     assert terms(3, "2-3", "1-3") == {"1-3,2-3": LaurentPoly.one()}
     assert terms(3, "1-3,2-3", "1-1") == {"1-1,1-3,2-3": LaurentPoly.one()}
+
+
+@pytest.mark.parametrize("k, message", [
+    (0, "position 0 out of range"),
+    (7, "position 7 out of range"),
+    (4, "position 4 has no later occurrence of its letter"),
+    (6, "position 6 has no later occurrence of its letter"),
+])
+def test_verify_term_theorem_rejects_a_position_without_a_tight_pair(k, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_term_theorem(equioriented_a(3), (3, 2, 3, 1, 2, 3), k)
 
 
 def test_interval_of_root():

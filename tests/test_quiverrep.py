@@ -17,7 +17,11 @@ from conekit.quiverrep import (
     parse_quiver,
     quiver_from_arrows,
 )
-from engine_oracle import euler_table_by_pairs, is_adapted_by_reflection
+from engine_oracle import (
+    adapted_words_by_matrix,
+    euler_table_by_pairs,
+    is_adapted_by_reflection,
+)
 
 STAIR3 = (3, 2, 3, 1, 2, 3)
 
@@ -75,6 +79,18 @@ def test_adaptedness_matches_reflected_quivers(family, rank):
                     assert is_adapted(q, bad) == expected
                     rejected += not expected
     assert rejected > 0
+
+
+def test_adapted_words_match_the_matrix_walk():
+    # Arrow counts and the weight walk against a new quiver and a matrix
+    # step per letter: the same words in the same order for every
+    # orientation of A2-A5 and D4, and the first D5 orientation (18,720).
+    cases = [q for family, rank in [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4)]
+             for q in all_orientations(cartan_matrix(family, rank))]
+    d5 = all_orientations(cartan_matrix("D", 5))[0]
+    for q in cases + [d5]:
+        assert enumerate_adapted_words(q) == adapted_words_by_matrix(q)
+    assert len(enumerate_adapted_words(d5)) == 18720
 
 
 def test_sink_sequences_need_not_be_reduced():

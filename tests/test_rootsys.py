@@ -12,14 +12,19 @@ from conekit.rootsys import (
     cartan_matrix,
     enumerate_reduced_words,
     highest_root,
-    k_shift,
     langlands_dual,
     num_positive_roots,
     parse_type,
     positive_roots,
     staircase_word,
+    tight_pairs,
 )
-from engine_oracle import positive_definite_by_fractions
+from engine_oracle import (
+    k_shift,
+    positive_definite_by_fractions,
+    positive_roots_by_matrix,
+    reduced_words_by_matrix,
+)
 
 A2 = cartan_matrix("A", 2)
 A3 = cartan_matrix("A", 3)
@@ -53,6 +58,16 @@ def test_cartan_from_entries_validates():
         cartan_from_entries(((2, 1), (1, 2)))
     with pytest.raises(ValueError):
         cartan_from_entries(((2, -1), (-1, 0)))
+
+
+@pytest.mark.parametrize("entries", [
+    ((2, -1.5), (-1, 2)),  # int() truncated this to A2
+    ((2.0, -1), (-1, 2)),
+    (("2", -1), (-1, 2)),
+])
+def test_cartan_from_entries_rejects_non_int_entries(entries):
+    with pytest.raises(TypeError):
+        cartan_from_entries(entries)
 
 
 FINITE_TYPES = (
@@ -234,13 +249,10 @@ def test_reduced_word_cap_before_the_walk(monkeypatch, name, up_front):
     assert len(walks) == (0 if up_front else 1)
 
 
-def test_k_shift_next_occurrence():
-    assert k_shift((1, 2, 1), 1) == 3
-    assert k_shift((1, 2, 1), 2) is None
-    assert k_shift((1, 2, 1), 3) is None
-    word = staircase_word(3)
-    assert k_shift(word, 1) == 3
-    assert k_shift(word, 3) == 6
+def test_tight_pairs_next_occurrence():
+    assert tight_pairs((1, 2, 1)) == [(1, 3)]
+    assert tight_pairs(staircase_word(3)) == [(1, 3), (2, 5), (3, 6)]
+    assert tight_pairs(()) == []
 
 
 @given(st.sampled_from(enumerate_reduced_words(A3)))
@@ -257,9 +269,32 @@ def test_rank2_betas_distinct_and_positive(word):
     assert all(all(x >= 0 for x in b) for b in betas)
 
 
-@given(st.sampled_from(enumerate_reduced_words(A3)), st.integers(1, 6))
-def test_k_shift_points_at_same_letter(word, k):
-    s = k_shift(word, k)
-    if s is not None:
-        assert word[s - 1] == word[k - 1]
+@given(st.sampled_from(enumerate_reduced_words(A3)))
+def test_tight_pairs_point_at_same_letter(word):
+    for k, s in tight_pairs(word):
+        assert k < s and word[s - 1] == word[k - 1]
         assert all(word[j - 1] != word[k - 1] for j in range(k + 1, s))
+
+
+@given(st.lists(st.integers(1, 4), max_size=24))
+def test_tight_pairs_match_the_forward_scan(word):
+    every = range(1, len(word) + 1)
+    assert tight_pairs(word) == [
+        (k, s) for k in every if (s := k_shift(word, k)) is not None
+    ]
+
+
+@pytest.mark.parametrize("name", [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2",
+])
+def test_reduced_words_match_the_matrix_walk(name):
+    # the same words in the same order; B4 has 24,024
+    c = parse_type(name)
+    assert enumerate_reduced_words(c) == reduced_words_by_matrix(c)
+
+
+def test_positive_roots_match_the_matrix_walk():
+    for family, n in FINITE_TYPES:
+        c = cartan_matrix(family, n)
+        for cartan in (c, langlands_dual(c)):
+            assert positive_roots(cartan) == positive_roots_by_matrix(cartan)
