@@ -33,7 +33,8 @@ module's packed fields off the walk's remainder, target - remainder. The
 K-theory verdicts and witness come from the rays of the dual Hom-functional
 cone, each with its height: the AR mesh vectors, certified in integers as
 the basis dual to the Hom functionals, with no DD. The module walk then
-goes only as high as the verdict needs.
+goes only as high as the verdict needs, once per quiver and height: every
+adapted word of the quiver reads its generators relabelled through the roots.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress
 from math import gcd, lcm
-from operator import add, index, le, mul, sub
+from operator import add, index, itemgetter, le, mul, sub
 
 from . import rootsys
 from .linalg import dot, nullspace_basis, pack, primitive
@@ -62,6 +63,11 @@ Word = tuple[int, ...]
 Mult = tuple[int, ...]
 
 MAX_MULTISETS = 100_000  # results of one bounded_multisets call
+
+# `RepContext._extension_generators` per (quiver, walked bound), each delta in
+# root coordinates: coordinate i is the multiplicity of the i-th root of
+# sorted(betas), the same list for every adapted word of the quiver.
+_EXTENSION_GENERATORS: dict[tuple[DynkinQuiver, int], dict[Mult, int]] = {}
 
 
 class NotAdapted(ValueError):
@@ -820,6 +826,16 @@ class RepContext:
         module, so x <= y forces t into the support of y, which is then the
         larger of the two as an int of support bits; a group sorted by those
         ints puts y after x.
+
+        The result is a fact about the quiver, not the word. Every quantity
+        tested is a module invariant: dimension vectors, the Hom vectors
+        ([U_z, -])_z over all z, supports, gcds and heights. An adapted word
+        only names U_beta by its position (Gabriel 1972), and the adapted
+        words of a quiver form one commutation class (Bédard 1999): two
+        roots comparable in the AR order are ordered the same way by every
+        adapted word, and two incomparable roots have Hom and Ext zero in
+        both directions. So every adapted word of the quiver gives the same
+        pairs and heights, with its positions relabelled.
         """
         width = (max(self._theta) * bound).bit_length() + 1
         guard, table = self._packing(width)
@@ -906,9 +922,20 @@ class RepContext:
         needs: to height b when b >= B* or some ray has height b + 1, where
         the ray heights decide `stabilized`; to b + 1 otherwise, for the
         generators of E_{b+1}.
+
+        That walk runs once per quiver and walked bound: its generators are
+        kept in `_EXTENSION_GENERATORS` with coordinate i the multiplicity of
+        the i-th root of sorted(betas), and every adapted word of the quiver
+        reads them back at its own positions. This is exact because the walk
+        tests only module invariants (dimension vectors, the Hom vectors
+        ([U_z, -])_z, supports, gcds and heights), and any two adapted words
+        order comparable roots alike while incomparable roots have Hom and
+        Ext zero both ways; so each word finds the same pairs at the same
+        heights, relabelled. The kernel basis, the mesh certificate, the
+        kernel check in each coordinate change and `stabilized` stay per
+        word.
         """
-        if bound is None:
-            bound = self.default_ktheory_bound()
+        bound = self.default_ktheory_bound() if bound is None else index(bound)
         lam = nullspace_basis(list(zip(*self.betas)))  # kernel of m -> dim(m)
         if len(lam) != self.N - self.n:
             raise ConsistencyFailure(
@@ -934,7 +961,16 @@ class RepContext:
         ray_heights = {h for _, h in rays}
         top = max(ray_heights, default=0)  # B*
         walk = bound if bound >= top or bound + 1 in ray_heights else bound + 1
-        deltas = self._extension_generators(walk)
+        # sorted(betas)[i] is the root at position order[i]; argsort of a
+        # permutation is its inverse.
+        order = sorted(range(self.N), key=self.betas.__getitem__)
+        key = self.quiver, walk
+        if key not in _EXTENSION_GENERATORS:
+            to_roots = itemgetter(*order)
+            _EXTENSION_GENERATORS[key] = {
+                to_roots(d): h for d, h in self._extension_generators(walk).items()}
+        to_positions = itemgetter(*sorted(range(self.N), key=order.__getitem__))
+        deltas = {to_positions(d): h for d, h in _EXTENSION_GENERATORS[key].items()}
         e_gens = sorted({to_lambda(d) for d, height in deltas.items() if height <= bound})
         if not e_gens:
             raise ValueError(f"no extension generators below the bound {bound}")

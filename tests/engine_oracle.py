@@ -19,7 +19,9 @@ cone on some generators by its forms, the V-side of their dual cone.
 `extension_generators_by_pairs` is the all-pairs route, by whole Hom
 vectors, to the K-theory generators that
 `RepContext._extension_generators` replaces by the pairs of disjoint
-support; `containment_witness` is the witness search over two expanded
+support, and `extension_generators_by_mesh` reaches the same generators
+with no Hom comparison, as the primitive points of the cone on the AR mesh
+vectors; `containment_witness` is the witness search over two expanded
 cones that `ktheory_cones` replaces by the heights of the rays of D^v;
 `is_adapted_by_reflection` builds every reflected quiver, where
 `quiverrep.is_adapted` keeps arrow counts. `euler_table_by_pairs` calls
@@ -43,8 +45,8 @@ The tests compare each fast path against these.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
-from math import lcm
+from itertools import combinations, count, product
+from math import gcd, lcm
 from operator import le
 
 from conekit.linalg import dot, nullspace_basis, primitive
@@ -174,6 +176,47 @@ def extension_generators_by_pairs(ctx, bound: int) -> dict[tuple[int, ...], int]
                 if hx != hy and all(map(le, hx, hy)):
                     delta = primitive(tuple(b - a for a, b in zip(x, y)))
                     out[delta] = min(sum(dim), out.get(delta, sum(dim)))
+    return out
+
+
+def extension_generators_by_mesh(ctx, bound: int) -> dict[tuple[int, ...], int]:
+    """Each R.a over a in N^m, a != 0, gcd(a) = 1 and ht((R.a)+) <= bound,
+    mapped to ht((R.a)+), where R holds the m mesh vectors of
+    `mesh_vectors()`; no pair of modules is compared.
+
+    D.R = I, so an integer r of the dimension kernel is R.(D r) with D r
+    integral, and [P_v, r] = (dim r)_v = 0 for every projective P_v: the r
+    with [U_z, r] >= 0 for all z are R.N^m, with gcd(r) = gcd(D r). Then
+    y - x, for x and y of disjoint support, is r with x = r- and y = r+.
+
+    The walk runs backward over positions. At a non-projective t it picks
+    a_t >= 0, which makes r_t final: every mesh vector with a nonzero at t
+    ends at t or later. dim r = 0, so the heights of r+ and r- are equal,
+    and the positions still open must cancel the decided part's dimension
+    vector: a branch is pruned once sum h_t |r_t| over the decided
+    positions, plus the l1 norm of their dimension vector, exceeds
+    2 bound."""
+    mesh = ctx.mesh_vectors()
+    heights = [sum(b) for b in ctx.betas]
+    at = [[(m, r[t]) for m, r in mesh.items() if r[t] and m != t + 1] for t in range(ctx.N)]
+    out: dict[tuple[int, ...], int] = {}
+
+    def walk(t, a, r, spent, dim):
+        if t < 0:
+            if any(a.values()) and gcd(*a.values()) == 1:
+                out[tuple(r)] = spent // 2
+            return
+        rest = sum(a[m] * x for m, x in at[t])
+        for pick in count() if t + 1 in mesh else (0,):
+            r[t] = rest + pick
+            d = [u + r[t] * b for u, b in zip(dim, ctx.betas[t])]
+            cost = spent + heights[t] * abs(r[t])
+            if cost + sum(map(abs, d)) <= 2 * bound:
+                walk(t - 1, {**a, t + 1: pick} if t + 1 in mesh else a, r, cost, d)
+            elif r[t] > 0 and heights[t] * r[t] > 2 * bound:
+                break  # a larger a_t only raises r_t
+
+    walk(ctx.N - 1, {}, [0] * ctx.N, 0, [0] * ctx.n)
     return out
 
 

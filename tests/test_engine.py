@@ -60,6 +60,7 @@ from engine_oracle import (
     dim_vector,
     dual_by_second_dd,
     euler_table_by_pairs,
+    extension_generators_by_mesh,
     extension_generators_by_pairs,
     hom_dominated_sparse,
     integerize_by_fractions,
@@ -277,6 +278,24 @@ def test_packed_hom_comparison_matches_sparse_reference():
     ctx = quiverrep.RepContext(D4_STAR, (2, 1, 3, 4) * 3)
     for bound in (6, 7, 8):
         assert ctx._extension_generators(bound) == extension_generators_by_pairs(ctx, bound)
+
+
+def test_extension_generators_match_the_mesh_reference():
+    # The module walk against R.N^m, the cone on the mesh vectors, at every
+    # bound from 1 to one past the default: every adapted word of A2 and of
+    # each A3 orientation, the first word of each A4 orientation, and the D4
+    # word (2,1,3,4)*3 at bounds 1-8, below its B* = 9.
+    cases = [(quiver, word, None) for rank in (2, 3)
+             for quiver in all_orientations(cartan_matrix("A", rank))
+             for word in enumerate_adapted_words(quiver)]
+    cases += [(quiver, first_adapted_word(quiver), None)
+              for quiver in all_orientations(cartan_matrix("A", 4))]
+    cases.append((D4_STAR, (2, 1, 3, 4) * 3, 8))
+    for quiver, word, top in cases:
+        ctx = RepContext(quiver, word)
+        for bound in range(1, (top or ctx.default_ktheory_bound() + 1) + 1):
+            assert ctx._extension_generators(bound) == extension_generators_by_mesh(ctx, bound)
+    assert len(cases) == 23
 
 
 # -- K-theory verdicts from the rays of D^v against E's double description
@@ -508,6 +527,45 @@ def test_ktheory_walks_only_as_high_as_the_verdict_needs(monkeypatch, quiver, wo
     monkeypatch.setattr(RepContext, "_extension_generators", spy)
     ktheory_cones(quiver, word, bound)
     assert bounds == [walked]
+    # Another adapted word of the quiver reads the same walk's generators.
+    other = next(w for w in enumerate_adapted_words(quiver) if w != word)
+    ktheory_cones(quiver, other, bound)
+    assert bounds == [walked]
+
+
+def _report_or_error(quiver, word, bound):
+    try:
+        return ktheory_cones(quiver, word, bound)
+    except ValueError as error:  # no generator at the lowest bounds
+        return str(error)
+
+
+def test_ktheory_from_a_warm_memo_matches_a_cold_one():
+    # Every adapted word of each A3 orientation at bounds 1-7 (the default 6,
+    # plus one), and every 36th of the 216 words of D4 `1>2,3>2,4>2` at
+    # bounds 1-11 (the default 10, plus one); each report from an empty memo
+    # against the one read from a memo that other words and bounds filled.
+    cases = [(quiver, word, range(1, 8))
+             for quiver in all_orientations(cartan_matrix("A", 3))
+             for word in enumerate_adapted_words(quiver)]
+    cases += [(D4_STAR, word, range(1, 12)) for word in enumerate_adapted_words(D4_STAR)[::36]]
+    cold = {}
+    for quiver, word, bounds in cases:
+        for bound in bounds:
+            quiverrep._EXTENSION_GENERATORS.clear()
+            cold[word, bound] = _report_or_error(quiver, word, bound)
+    quiverrep._EXTENSION_GENERATORS.clear()
+    for quiver, word, bounds in reversed(cases):
+        for bound in bounds:
+            assert _report_or_error(quiver, word, bound) == cold[word, bound]
+
+
+@pytest.mark.parametrize("bound", [2.5, 8.0, 2.0])
+def test_ktheory_bound_must_be_an_int(bound):
+    # A float would reach the walk and fail there, or read the memo kept for
+    # the int it hashes equal to.
+    with pytest.raises(TypeError):
+        ktheory_cones(equioriented_a(3), (3, 2, 3, 1, 2, 3), bound)
 
 
 def test_ktheory_without_non_projectives_keeps_its_error():
