@@ -164,12 +164,12 @@ def criterion_containment() -> tuple[bool, dict]:
 
     Reads criterion 2's cones from `_report`, and checks the degree cone's
     rays and lines against the negative cone's raw defining inequalities
-    rather than through the cone comparison machinery, so a
-    facet-enumeration bug cannot mask a containment bug. Those rays come
-    from the certified equality, not from DD: an `equal` verdict hands the
-    degree cone the negative cone's V-sides. Criterion 1 keeps
-    paper-check's DD route on degree cones, and the test suite compares the
-    handed sides with the degree cone's own DD.
+    by plain dot products rather than through `contains`' packed sums, so
+    a bug in that packed arithmetic cannot mask a containment bug. Those
+    rays come from the certified equality, not from DD: an `equal` verdict
+    hands the degree cone the negative cone's V-sides. Criterion 1 keeps
+    paper-check's DD route on degree cones, and the test suite compares
+    the handed sides with the degree cone's own DD.
     """
     checked = 0
     ok = True

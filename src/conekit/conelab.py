@@ -153,10 +153,9 @@ class ConeReport:
     roots: tuple[tuple[int, ...], ...]
 
     def to_dict(self) -> dict:
-        """The report as JSON data. Each cone lists its own given forms
-        under `ineqs`. After an `equal` verdict the degree cone's rays and
-        lineality are the negative cone's, so this runs no DD; after another
-        verdict, the witness search has already expanded it by DD."""
+        """The report as JSON data; each cone lists its given forms under
+        `ineqs`. After `equal` the degree cone has the negative cone's V-sides,
+        so this runs no DD; after `strict_subset` it runs the degree cone's."""
         return {
             "word": list(self.word),
             "quiver": self.quiver,
@@ -169,12 +168,10 @@ class ConeReport:
 
 
 def _missing_ray_witness(small: RationalCone, big: RationalCone, kind: str) -> dict:
-    """A generator of `small` outside `big`, with the inequality it violates."""
-    found = big.missing_generator(small)
-    if found is None:
-        raise ConsistencyFailure("no witness found although containment failed")
-    ray, (what, form) = found
-    return {"kind": kind, "ray": list(ray), f"violated_{what}": list(form)}
+    """A generator of `small` outside `big`, with the given form of `big` it
+    violates: the form and generator that failed `big.contains(small)`."""
+    ray, form = big.missing_generator(small)
+    return {"kind": kind, "ray": list(ray), "violated_form": list(form)}
 
 
 def check_conjecture(
@@ -184,12 +181,12 @@ def check_conjecture(
 
     The degree cone can never leave the negative cone (that containment is a
     theorem-level invariant); a 'violation' verdict therefore signals an
-    implementation bug and carries an explicit substitution witness. Neither
-    test runs DD: the negative cone's forms are unit triangular, and its
-    sides come from `_triangular_vrep`. On `equal`, `d_cone.contains(l_cone)`
-    proves the cones one set and hands the degree cone those sides, so no
-    DD of the degree cone follows. A given `ctx` must be the context of this
-    quiver and word (ValueError).
+    implementation bug. A witness is the failing test's ray or line of the
+    smaller cone and given form of the bigger one, negative on it. Save on
+    `violation`, neither test runs DD: the negative cone's sides come from
+    `_triangular_vrep`, and on `equal` `d_cone.contains(l_cone)` hands them
+    to the degree cone. A given `ctx` must be the context of this quiver
+    and word (ValueError).
     """
     ctx = _context_for(quiver, word, ctx)
     d_cone = degree_cone(quiver, word, ctx=ctx)

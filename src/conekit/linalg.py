@@ -1,6 +1,6 @@
 """Exact linear algebra over the rationals, sized for desk-scale cones.
 
-Inputs may be ``int`` or ``fractions.Fraction``; no floats. Row reduction
+Inputs may be ``int`` or ``fractions.Fraction`` (`rational`). Row reduction
 (`rref`, and through it `rank`, `row_space_basis`, `nullspace_basis`) runs
 fraction-free on integers; only `integerize` meets a ``Fraction``.
 """
@@ -31,11 +31,19 @@ def primitive(v) -> IntVec:
     return tuple(x // g for x in v)
 
 
+def rational(x) -> Fraction:
+    """x as a ``Fraction``. Any type but ``int`` and ``Fraction`` raises
+    TypeError: a float's binary fraction would pass as exact."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise TypeError(f"expected an int or Fraction, got {type(x).__name__} {x!r}")
+
+
 def integerize(v) -> IntVec:
     """Clear denominators of a rational vector and reduce to primitive form."""
     if {int}.issuperset(map(type, v)):
         return primitive(tuple(v))
-    fracs = [Fraction(x) for x in v]
+    fracs = [rational(x) for x in v]
     mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
     return primitive(tuple(int(f * mult) for f in fracs))
 

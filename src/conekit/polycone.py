@@ -17,12 +17,12 @@ second run.
 A cone is given by its forms and expanded only when its V-side is first
 read. The cone generated by vectors G is the dual side of
 ``from_inequalities(dim, G)``: its rays and lineality are that cone's
-`dualrep()`. Cones are compared from their defining forms: `contains`
-tests the forms of the containing cone, less those the other cone was
-given, on the other cone's rays and lines as a few packed integer sums.
-When the other cone's forms are all among the containing cone's, a pass
-proves the two cones equal, and the containing cone keeps the other's
-V-sides instead of expanding its own.
+`dualrep()`. Cones are compared by one test of the containing cone's
+forms, less those the other cone was given, on the other cone's rays and
+lines as packed integer sums; it decides `contains` and names the witness
+(`missing_generator`), so facets are output only. When the other cone's
+forms are all among the containing cone's, a pass proves the two cones
+equal, and the containing cone keeps the other's V-sides.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from itertools import compress
 from operator import itemgetter, mul
 
 from .linalg import dot, integerize, pack, primitive, row_space_basis
-from .rootsys import CapExceeded
+from .rootsys import CapExceeded, VerificationFailure
 
 IntVec = tuple[int, ...]
 
@@ -344,43 +344,51 @@ class RationalCone:
 
     # -- point and cone queries ---------------------------------------------
 
-    def violation(self, v):
-        """("form", f) for the first facet with f.v < 0, else ("equation", e)
-        for the first span equation with e.v != 0, else None (v is inside)."""
-        if len(v) != self.dim:
-            raise DimensionMismatch(f"length mismatch: {len(v)} vs {self.dim}")
-        facets, span_perp = self.dualrep()
-        for f in facets:
-            if dot(f, v) < 0:
-                return "form", f
-        for e in span_perp:
-            if dot(e, v) != 0:
-                return "equation", e
-        return None
+    def _first_negative(self, other: "RationalCone"):
+        """((g, f), k): the first form f of this cone negative on a generator
+        g of `other` (None if there is none), and the count k of forms skipped.
 
-    def missing_generator(self, other: "RationalCone"):
-        """(g, violation) for the first `with_lines` generator g of `other`
-        outside this cone, or None when this cone contains `other`."""
-        for g in with_lines(*other.vrep()):
-            found = self.violation(g)
-            if found is not None:
-                return g, found
-        return None
-
-    def contains(self, other: "RationalCone") -> bool:
-        """Whether `other` lies inside this cone, from this cone's forms.
-
-        The forms are `inequalities`, less those `other` was given (they
-        hold there by definition); if none is left, neither cone expands.
-        They are tested on `other`'s rays and lines as packed sums in the
-        guard-bit idiom of `quiverrep.bounded_multisets`: column i packs
-        coordinate i of every generator, one field each, at a width one bit
-        past the bit length of M = (max sum |f_i|) * (max |g_j|). With
-        `half` holding 2**(width-1) in every field, field j of
+        The forms tested are `inequalities`, less the k that `other` was
+        given (they hold there by definition); if none is left, neither cone
+        expands. They are tested on `other`'s rays and lines as packed sums
+        in the guard-bit idiom of `quiverrep.bounded_multisets`: column i
+        packs coordinate i of every generator, one field each, at a width
+        one bit past the bit length of M = (max sum |f_i|) * (max |g_j|).
+        With `half` holding 2**(width-1) in every field, field j of
         ``half + sum f_i col_i`` is 2**(width-1) + f . g_j, which lies in
         [1, 2**width) since |f . g_j| <= M < 2**(width-1). So the sum is
         exact with no carry between fields, and the top bit of field j is
-        set exactly when f . g_j >= 0.
+        set exactly when f . g_j >= 0. For the first form that fails, g is
+        the first `with_lines` generator with f . g < 0 by plain `dot`, or
+        the two sums disagree (VerificationFailure).
+        """
+        if other.dim != self.dim:
+            raise DimensionMismatch("cones live in different spaces")
+        given = set(other._ineqs)
+        forms = [f for f in self._ineqs if f not in given]
+        skipped = len(self._ineqs) - len(forms)
+        if forms:
+            gens = with_lines(*other.vrep())
+            largest = max((abs(x) for g in gens for x in g), default=0)
+            width = (max(sum(map(abs, f)) for f in forms) * largest).bit_length() + 1
+            half = pack([1 << (width - 1)] * len(gens), width)
+            cols = [pack(col, width) for col in zip(*gens)]
+            for f in forms:
+                if half + sum(map(mul, compress(f, f), compress(cols, f))) & half != half:
+                    for g in gens:
+                        if dot(f, g) < 0:
+                            return (g, f), skipped
+                    raise VerificationFailure(f"packed and plain sums disagree on {f}")
+        return None, skipped
+
+    def missing_generator(self, other: "RationalCone"):
+        """(g, f): a ray or line (either way) g of `other` and a given form f
+        of this cone with f . g < 0; None when this cone contains `other`."""
+        return self._first_negative(other)[0]
+
+    def contains(self, other: "RationalCone") -> bool:
+        """Whether `other` lies inside this cone: `_first_negative` finds no
+        form of this cone negative on a generator of `other`.
 
         When every form of `other` is among this cone's, this cone lies
         inside `other`, so a passing test makes the two cones one set. This
@@ -389,28 +397,13 @@ class RationalCone:
         lineality, facets reduced modulo the span equations), so they are
         what its own expansion would give.
         """
-        if other.dim != self.dim:
-            raise DimensionMismatch("cones live in different spaces")
-        given = set(other._ineqs)
-        mine = self.inequalities
-        forms = [f for f in mine if f not in given]
-        if forms:
-            gens = with_lines(*other.vrep())
-            largest = max((abs(x) for g in gens for x in g), default=0)
-            width = (max(sum(map(abs, f)) for f in forms) * largest).bit_length() + 1
-            half = pack([1 << (width - 1)] * len(gens), width)
-            cols = [pack(col, width) for col in zip(*gens)]
-            if not all(
-                half + sum(map(mul, compress(f, f), compress(cols, f))) & half == half
-                for f in forms
-            ):
-                return False
-        # `mine` holds distinct forms, so every given form was skipped
-        # exactly when the skipped count is len(given). A cone expands both
+        found, skipped = self._first_negative(other)
+        # Both form lists are distinct, so every form of `other` was skipped
+        # exactly when the skipped count is its length. A cone expands both
         # sides at once, so `_vrep` None means it has neither.
-        if self._vrep is None and len(mine) - len(forms) == len(given):
+        if found is None and self._vrep is None and skipped == len(other._ineqs):
             self._vrep, self._dualrep = other._vrep, other._dualrep
-        return True
+        return found is None
 
     def interior_point(self) -> IntVec:
         """A point in the relative interior (strict on every facet)."""

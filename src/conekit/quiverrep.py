@@ -491,18 +491,17 @@ class RepContext:
     def _validate(self):
         table = self._euler
         # row k is Hom from the diagonal on, column k minus Ext1 below it
-        if not all(min(row[k:]) >= 0 and max(col[k + 1:], default=0) <= 0
-                   for k, (row, col) in enumerate(zip(table, zip(*table)))):
-            for k in range(1, self.N + 1):  # name the first failing pair
-                for l in range(k, self.N + 1):
-                    if self.hom_indec(k, l) < 0:
-                        raise ConsistencyFailure(
-                            f"negative Hom dimension at ({k},{l}): enumeration not directed"
-                        )
-                    if l > k and self.ext_indec(l, k) < 0:
-                        raise ConsistencyFailure(
-                            f"negative Ext dimension at ({l},{k}): enumeration not directed"
-                        )
+        bad = next((k for k, (row, col) in enumerate(zip(table, zip(*table)))
+                    if min(row[k:]) < 0 or max(col[k + 1:], default=0) > 0), None)
+        if bad is not None:  # name the first failing pair, in that row
+            k = bad + 1
+            for l in range(k, self.N + 1):
+                if self.hom_indec(k, l) < 0:
+                    raise ConsistencyFailure(f"negative Hom dimension at ({k},{l}): "
+                                             "enumeration not directed")
+                if l > k and self.ext_indec(l, k) < 0:
+                    raise ConsistencyFailure(f"negative Ext dimension at ({l},{k}): "
+                                             "enumeration not directed")
         for k, l in self.arrows:
             if not k < l:
                 raise ConsistencyFailure(f"mesh arrow {k}->{l} does not ascend")

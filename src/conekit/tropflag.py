@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import dot, rank
+from .linalg import dot, rank, rational
 from .rootsys import VerificationFailure
 
 Subset = tuple[int, ...]
@@ -136,11 +136,11 @@ def pluecker_relations(n: int) -> list[PlueckerRelation]:
 def _coerce_root_values(n: int, d) -> list[Fraction]:
     pairs = pair_order(n)
     if hasattr(d, "keys"):
-        vals = {tuple(k): Fraction(v) for k, v in d.items()}
+        vals = {tuple(k): rational(v) for k, v in d.items()}
         if sorted(vals) != sorted(pairs):
             raise ValueError(f"d must have exactly the keys {pairs}")
         return [vals[pair] for pair in pairs]
-    seq = [Fraction(x) for x in d]
+    seq = [rational(x) for x in d]
     if len(seq) != len(pairs):
         raise ValueError(f"d must have {len(pairs)} entries, got {len(seq)}")
     return seq
@@ -189,7 +189,7 @@ def phi_rank(n: int) -> int:
 
 def term_weight(w, a: Subset, b: Subset) -> Fraction:
     try:
-        return Fraction(w[a]) + Fraction(w[b])
+        return rational(w[a]) + rational(w[b])
     except KeyError as exc:
         raise MissingCoordinate(f"no weight for subset {subset_label(exc.args[0])}")
 

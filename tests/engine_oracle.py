@@ -21,8 +21,11 @@ vectors, to the K-theory generators that
 `RepContext._extension_generators` replaces by the pairs of disjoint
 support, and `extension_generators_by_mesh` reaches the same generators
 with no Hom comparison, as the primitive points of the cone on the AR mesh
-vectors; `containment_witness` is the witness search over two expanded
-cones that `ktheory_cones` replaces by the heights of the rays of D^v;
+vectors; `violation_by_facets` and `missing_generator_by_facets` test
+points against a cone's facets and span equations, where `RationalCone`
+tests its given forms in packed sums, and `containment_witness` is the
+witness search on them over two expanded cones that `ktheory_cones`
+replaces by the heights of the rays of D^v;
 `is_adapted_by_reflection` builds every reflected quiver, where
 `quiverrep.is_adapted` keeps arrow counts. `euler_table_by_pairs` calls
 `euler_form` on every ordered pair of roots, where `RepContext` reads each
@@ -335,11 +338,41 @@ def cone_generated_by(dim: int, rays, lines=()) -> RationalCone:
     return RationalCone.from_inequalities(dim, with_lines(*dual.vrep()))
 
 
+def violation_by_facets(cone, v):
+    """("form", f) for the first facet f of `cone` with f . v < 0, else
+    ("equation", e) for the first span equation e with e . v != 0, else
+    None (v is inside): membership read off the cone's dual side, which
+    its DD gives, where `RationalCone` tests only its given forms."""
+    if len(v) != cone.dim:
+        raise DimensionMismatch(f"length mismatch: {len(v)} vs {cone.dim}")
+    facets, span_perp = cone.dualrep()
+    for f in facets:
+        if dot(f, v) < 0:
+            return "form", f
+    for e in span_perp:
+        if dot(e, v) != 0:
+            return "equation", e
+    return None
+
+
+def missing_generator_by_facets(big, small):
+    """(g, violation) for the first `with_lines` generator g of `small`
+    that `violation_by_facets` puts outside `big`, or None when `big`
+    contains `small`."""
+    if big.dim != small.dim:
+        raise DimensionMismatch("cones live in different spaces")
+    for g in with_lines(*small.vrep()):
+        found = violation_by_facets(big, g)
+        if found is not None:
+            return g, found
+    return None
+
+
 def containment_witness(a, b) -> dict:
     """A ray of one cone outside the other, as plain data: a ray of `a` (as
     "E") outside `b`, else a ray of `b` (as "D_dual") outside `a`."""
     for ray_of, small, big in (("E", a, b), ("D_dual", b, a)):
-        found = big.missing_generator(small)
+        found = missing_generator_by_facets(big, small)
         # generators come rays first, so a line here means no ray is outside
         if found is not None and found[0] in small.rays:
             return {"ray_of": ray_of, "ray": list(found[0])}

@@ -2,9 +2,14 @@
 
 `count_by_subspaces` lists every tuple of subspaces (one per vertex) of a
 representation X over F_p, keeps the tuples closed under the arrow maps,
-and classifies each submodule and its quotient by rank invariants. It is
-exponential in the dimensions, so it only serves tests at small scale,
-where it must agree exactly with `hallalg.count_submodules`.
+and classifies each submodule and its quotient by its rank function: the
+rank of the map from vertex i to vertex j, which for the arrows a -> a+1
+counts the summands [a, b] with a <= i <= j <= b and so determines the
+module. It is exponential in the dimensions, so it only serves tests at
+small scale, where it must agree exactly with `hallalg.count_submodules`.
+Its F_p helpers are its own: the maps of X are read off its summands, not
+multiplied out, and ranks come from forward elimination, so no helper of
+`hallalg` is checked against itself.
 
 `fit_by_lagrange` is the rational Lagrange fit that `hallalg._newton`
 replaced, kept as the reference for that integer fit.
@@ -13,17 +18,7 @@ replaced, kept as the reference for that integer fit.
 from fractions import Fraction
 from itertools import combinations, product
 
-from conekit.hallalg import (
-    InterpolationInconsistent,
-    LaurentPoly,
-    _arrow_matrices,
-    _composites,
-    _mat_mul,
-    _multiplicities_from_ranks,
-    _rank_mod,
-    dim_vector,
-    module_multiplicities,
-)
+from conekit.hallalg import InterpolationInconsistent, LaurentPoly
 
 
 def fit_by_lagrange(xs, ys) -> LaurentPoly:
@@ -53,6 +48,36 @@ def fit_by_lagrange(xs, ys) -> LaurentPoly:
     return LaurentPoly(out)
 
 
+def _rank(rows, p: int) -> int:
+    """Rank over F_p by forward elimination."""
+    mat = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][c]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][c], -1, p)
+        for r in range(rank + 1, len(mat)):
+            if mat[r][c]:
+                f = mat[r][c] * inv
+                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def _times(rows, mat, p: int, cols: int):
+    """The row vectors `rows` times the matrix `mat` with `cols` columns."""
+    return [[sum(r[i] * mat[i][c] for i in range(len(r))) % p for c in range(cols)]
+            for r in rows]
+
+
+def _rank_function(n: int, m) -> dict:
+    """(i, j) -> rank of M_i -> M_j: the summands [a, b] with a <= i <= j <= b."""
+    return {(i, j): sum(a <= i and j <= b for a, b in m)
+            for i in range(1, n + 1) for j in range(i, n + 1)}
+
+
 def _subspaces(d: int, e: int, p: int):
     """All e-dimensional subspaces of F_p^d as RREF row matrices."""
     if e == 0:
@@ -76,34 +101,28 @@ def _subspaces(d: int, e: int, p: int):
 
 def count_by_subspaces(n: int, x, w, v, p: int) -> int:
     """Submodules of X isomorphic to W with quotient isomorphic to V, over F_p."""
-    dims = dim_vector(n, x)
-    e = dim_vector(n, w)
+    # basis[i]: the summands of X alive at vertex i, one basis vector each
+    basis = [[k for k, (a, b) in enumerate(x) if a <= i <= b] for i in range(n + 1)]
+    dims = [len(basis[i]) for i in range(1, n + 1)]
+    e = [sum(a <= i <= b for a, b in w) for i in range(1, n + 1)]
     if any(ei > di for ei, di in zip(e, dims)):
         return 0
-    _, mats = _arrow_matrices(n, x, p)
-    comp = _composites(n, dims, mats, p)
-    want_w = module_multiplicities(w)
-    want_v = module_multiplicities(v)
+    # X_i -> X_j sends each summand's vector to its vector at j, or to 0
+    comp = {
+        (i, j): [[int(k == l) for l in basis[j]] for k in basis[i]]
+        for i in range(1, n + 1) for j in range(i, n + 1)
+    }
+    want_w, want_v = _rank_function(n, w), _rank_function(n, v)
     choices = [list(_subspaces(dims[vx], e[vx], p)) for vx in range(n)]
     count = 0
 
     def classify(pick) -> bool:
-        r_sub = {}
-        r_quot = {}
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                if e[i - 1] == 0:
-                    r_sub[i, j] = 0
-                else:
-                    r_sub[i, j] = _rank_mod(
-                        _mat_mul(pick[i - 1], comp[i, j], p, dims[j - 1]), p
-                    )
-                stacked = comp[i, j] + tuple(pick[j - 1])
-                r_quot[i, j] = _rank_mod(stacked, p) - e[j - 1] if stacked else 0
-        return (
-            _multiplicities_from_ranks(n, r_sub) == want_w
-            and _multiplicities_from_ranks(n, r_quot) == want_v
-        )
+        for (i, j), r in comp.items():
+            if _rank(_times(pick[i - 1], r, p, dims[j - 1]), p) != want_w[i, j]:
+                return False
+            if _rank(r + list(pick[j - 1]), p) - e[j - 1] != want_v[i, j]:
+                return False
+        return True
 
     # Depth-first over vertices so instability prunes whole subtrees.
     def walk(vx: int, pick: tuple):
@@ -113,9 +132,9 @@ def count_by_subspaces(n: int, x, w, v, p: int) -> int:
                 count += 1
             return
         for sub in choices[vx]:
-            if vx > 0 and e[vx - 1] > 0:
-                image = _mat_mul(pick[vx - 1], mats[vx - 1], p, dims[vx])
-                if _rank_mod(tuple(sub) + image, p) != e[vx]:
+            if vx > 0:
+                image = _times(pick[vx - 1], comp[vx, vx + 1], p, dims[vx])
+                if _rank(list(sub) + image, p) != e[vx]:
                     continue
             walk(vx + 1, pick + (sub,))
 

@@ -23,6 +23,7 @@ from conekit.quiverrep import (
     enumerate_adapted_words,
     equioriented_a,
 )
+from engine_oracle import violation_by_facets
 
 A2 = cartan_matrix("A", 2)
 A3 = cartan_matrix("A", 3)
@@ -105,8 +106,8 @@ def test_root_sum_identity_all_words(cartan):
 def test_degree_cone_a2():
     cone = degree_cone(equioriented_a(2), (2, 1, 2))
     assert cone.facets == ((1, -1, 1),)
-    assert cone.violation((1, 1, 1)) is None
-    assert cone.violation((0, 1, 0)) is not None
+    assert violation_by_facets(cone, (1, 1, 1)) is None
+    assert violation_by_facets(cone, (0, 1, 0)) is not None
 
 
 def test_degree_cone_matches_context_reuse():

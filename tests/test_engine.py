@@ -1042,19 +1042,32 @@ def test_other_verdicts_keep_their_own_sides(monkeypatch, verdict):
             forms.remove(ar_form)
         return RationalCone.from_inequalities(len(word), forms)
 
+    calls = []
+
+    def counted(dim, forms):
+        calls.append(len(forms))
+        return dd_vrep(dim, forms)
+
     monkeypatch.setattr(conelab, "degree_cone", changed)
+    monkeypatch.setattr(polycone, "dd_vrep", counted)
     report = conelab.check_conjecture(quiver, word)
     assert report.verdict == verdict
     d_cone, l_cone = report.degree_cone, report.negative_cone
+    # `strict_subset` tests the degree cone's forms on the negative cone's
+    # rays, which come from the triangular solve: no DD before `to_dict`.
+    # `violation` tests the negative cone's forms on the degree cone's rays.
+    assert calls == ([] if verdict == "strict_subset" else [len(d_cone.inequalities)])
     small, big = (l_cone, d_cone) if verdict == "strict_subset" else (d_cone, l_cone)
     witness = report.witness
-    ray = tuple(witness["ray"])
+    assert witness.keys() == {"kind", "ray", "violated_form"}
+    ray, form = tuple(witness["ray"]), tuple(witness["violated_form"])
     assert ray in with_lines(*small.vrep())
-    ((key, form),) = [(k, tuple(v)) for k, v in witness.items() if k.startswith("violated_")]
-    assert big.violation(ray) == (key[len("violated_"):], form)
+    assert list(form) in report.to_dict()[
+        "degree_cone" if verdict == "strict_subset" else "negative_cone"]["ineqs"]
+    assert dot(form, ray) < 0
     if verdict == "strict_subset":
         assert witness["kind"] == "negative_ray_outside_degree_cone"
-        assert dot(ar_form, ray) > 0
+        assert form == tuple(-x for x in ar_form)
     else:
         assert witness["kind"] == "degree_ray_outside_negative_cone"
         assert form == ar_form

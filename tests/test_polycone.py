@@ -1,6 +1,7 @@
 """Exact rational cone arithmetic: double description, duality, membership."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +15,13 @@ from conekit.polycone import (
     normalize_form,
     with_lines,
 )
-from conekit.rootsys import CapExceeded
-from engine_oracle import cone_generated_by, containment_witness
+from conekit.rootsys import CapExceeded, VerificationFailure
+from engine_oracle import (
+    cone_generated_by,
+    containment_witness,
+    missing_generator_by_facets,
+    violation_by_facets,
+)
 
 
 def extremality_certificate(cone: RationalCone) -> bool:
@@ -56,8 +62,8 @@ def test_halfspace_has_lineality():
     prof = cone.analyze()
     assert prof.lineality_dim == 2
     assert prof.ray_count == 1
-    assert cone.violation((1, 1, 1)) is None
-    assert cone.violation((0, 1, 0)) is not None
+    assert violation_by_facets(cone, (1, 1, 1)) is None
+    assert violation_by_facets(cone, (0, 1, 0)) is not None
 
 
 def test_trivial_cone_has_no_interior_point():
@@ -81,24 +87,44 @@ def test_dd_ray_cap(monkeypatch):
 
 
 def test_dimension_mismatch():
-    """A sparse facet reads only its nonzero coordinates, so `violation`
-    checks the length up front, also for a cone with no facets at all."""
+    """A comparison checks the dimensions up front, also for a cone with no
+    forms at all, whose packed test would have nothing to evaluate."""
     with pytest.raises(DimensionMismatch):
         RationalCone.from_inequalities(3, [(1, 0)])
-    cone = RationalCone.from_inequalities(2, [(1, 0)])
-    with pytest.raises(DimensionMismatch):
-        cone.violation((1, 0, 0))
     plane = RationalCone.from_inequalities(2, [])
     ray = RationalCone.from_inequalities(2, [(1, 0), (-1, 0), (0, 1)])
     solid = RationalCone.from_inequalities(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     flat = RationalCone.from_inequalities(1, [(1,)])
     for cone in (plane, ray):
-        for v in ((1,), (1, 0, 0)):
-            with pytest.raises(DimensionMismatch):
-                cone.violation(v)
         for other in (solid, flat):
-            with pytest.raises(DimensionMismatch):
-                cone.missing_generator(other)
+            for a, b in ((cone, other), (other, cone)):
+                with pytest.raises(DimensionMismatch):
+                    a.missing_generator(b)
+                with pytest.raises(DimensionMismatch):
+                    a.contains(b)
+
+
+def test_forms_must_be_exact():
+    # A float used to pass as its binary fraction: (1, 0.1) became
+    # (36028797018963968, 3602879701896397). A string passed through Fraction.
+    for bad in (0.1, 0.5, "1/2"):
+        with pytest.raises(TypeError):
+            RationalCone.from_inequalities(2, [(1, bad)])
+    half = RationalCone.from_inequalities(2, [(1, Fraction(1, 2))])
+    assert half.inequalities == ((2, 1),)
+
+
+def test_packed_and_plain_sums_must_agree(monkeypatch):
+    # The packed test flags the form (1, 0) on the ray (-1, 0); a plain dot
+    # product that finds no negative generator there contradicts it.
+    big = RationalCone.from_inequalities(2, [(1, 0)])
+    small = RationalCone.from_inequalities(2, [(-1, 0), (0, 1), (0, -1)])
+    assert big.missing_generator(small) == ((-1, 0), (1, 0))
+    monkeypatch.setattr(polycone, "dot", lambda a, b: 0)
+    with pytest.raises(VerificationFailure, match="disagree"):
+        big.missing_generator(small)
+    with pytest.raises(VerificationFailure):
+        big.contains(small)
 
 
 def test_compare_verdicts():
@@ -208,7 +234,8 @@ def test_interior_point_is_interior(forms):
     except ZeroCone:
         assert cone.rays == () and cone.lineality == ()
         return
-    assert cone.violation(point) is None
+    assert all(dot(f, point) >= 0 for f in cone.inequalities)
+    assert violation_by_facets(cone, point) is None
     # strict on every facet of the cone itself
     for f in cone.facets:
         assert sum(f[i] * point[i] for i in range(3)) > 0
@@ -226,13 +253,25 @@ def test_vrep_hrep_agree_on_membership(rays):
     cone = cone_generated_by(3, rays)
     for r in rays:
         assert all(sum(f[i] * r[i] for i in range(3)) >= 0 for f in cone.inequalities)
-        assert cone.violation(r) is None
+        assert violation_by_facets(cone, r) is None
+
+
+def _assert_witness(witness, small, big, kind):
+    """A witness is a generator of `small` and a form of `big`, as printed
+    under its `ineqs`, negative on it."""
+    assert witness.keys() == {"kind", "ray", "violated_form"}
+    assert witness["kind"] == kind
+    ray, form = tuple(witness["ray"]), witness["violated_form"]
+    assert ray in with_lines(*small.vrep())
+    assert form in big.to_dict()["ineqs"]
+    assert dot(form, ray) < 0
 
 
 def test_witness_builders_pinned():
-    """Both witness builders name a fixed generator and violation per case:
-    conelab's, and `engine_oracle.containment_witness`, the reference the
-    K-theory witness is checked against.
+    """conelab's witness names a generator of the smaller cone and a given
+    form of the bigger one negative on it; `engine_oracle.containment_witness`,
+    the reference the K-theory witness is checked against, names a fixed
+    ray per case.
 
     `orthant` strictly contains `narrow` and `diagonal`; `halfplane` has the
     orthant's rays but a lineality line, so it leaves the orthant only
@@ -245,12 +284,15 @@ def test_witness_builders_pinned():
     diagonal = cone_generated_by(2, [(1, 1)])
     halfplane = cone_generated_by(2, [(1, 0)], [(0, 1)])
 
-    assert _missing_ray_witness(orthant, narrow, "k") == {
-        "kind": "k", "ray": [0, 1], "violated_form": [1, -1]}
-    assert _missing_ray_witness(orthant, diagonal, "k") == {
-        "kind": "k", "ray": [0, 1], "violated_equation": [1, -1]}
-    assert _missing_ray_witness(halfplane, orthant, "k") == {
-        "kind": "k", "ray": [0, -1], "violated_form": [0, 1]}
+    for small, big in ((orthant, narrow), (orthant, diagonal), (halfplane, orthant)):
+        _assert_witness(_missing_ray_witness(small, big, "k"), small, big, "k")
+    assert _missing_ray_witness(halfplane, orthant, "k")["ray"] == [0, -1]
+    # The first generator negative on the failing form, rays before lines:
+    # x2 >= 0 has the ray (0, 1) and the line (1, 0), and x1 - x2 is
+    # negative on (0, 1) and on (-1, 0).
+    upper = RationalCone.from_inequalities(2, [(0, 1)])
+    below_diagonal = RationalCone.from_inequalities(2, [(1, -1)])
+    assert below_diagonal.missing_generator(upper) == ((0, 1), (1, -1))
 
     assert containment_witness(orthant, narrow) == {"ray_of": "E", "ray": [0, 1]}
     assert containment_witness(narrow, orthant) == {"ray_of": "D_dual", "ray": [0, 1]}
@@ -328,7 +370,13 @@ def test_contains_matches_witness_search(problem, expand_self, expand_other):
         big.vrep()
     if expand_other:
         small.vrep()
-    expected = _build(dim, a).missing_generator(_build(dim, b)) is None
+    expected = missing_generator_by_facets(_build(dim, a), _build(dim, b)) is None
+    found = _build(dim, a).missing_generator(_build(dim, b))
+    assert (found is None) == expected
+    if found is not None:
+        g, f = found
+        assert f in big.inequalities and dot(f, g) < 0
+        assert g in with_lines(*_build(dim, b).vrep())
     assert big.contains(small) == expected
     # Whatever sides `contains` handed over, they are the cone's own.
     fresh = _build(dim, a)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conekit import hallalg, rootsys
 from conekit.rootsys import CapExceeded, NotReduced, cartan_matrix
@@ -211,6 +212,35 @@ def test_validate_names_the_first_failing_pair(entries, message):
     with pytest.raises(ConsistencyFailure) as info:
         ctx._validate()
     assert str(info.value) == message
+
+
+def _first_directedness_failure(ctx: RepContext):
+    """The message of the pairwise loop over (k, l), k <= l, Hom(U_k, U_l)
+    then Ext1(U_l, U_k), or None when every pair passes."""
+    for k in range(1, ctx.N + 1):
+        for l in range(k, ctx.N + 1):
+            if ctx.hom_indec(k, l) < 0:
+                return f"negative Hom dimension at ({k},{l}): enumeration not directed"
+            if l > k and ctx.ext_indec(l, k) < 0:
+                return f"negative Ext dimension at ({l},{k}): enumeration not directed"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                       st.integers(-2, 2), max_size=5))
+def test_validate_matches_the_pairwise_loop(entries):
+    # `_validate` searches only the first row the fast check flags.
+    ctx = _tamper(_staircase_ctx(), entries)
+    expected = _first_directedness_failure(ctx)
+    try:
+        ctx._validate()
+    except ConsistencyFailure as exc:
+        message = str(exc)
+    else:
+        message = None
+    if expected is not None or (message or "").startswith("negative"):
+        assert message == expected
 
 
 def test_context_requires_adapted_word():

@@ -215,3 +215,23 @@ def test_phi_is_linear(xs, ys):
     three = phi(n, {p: 3 * dx[p] for p in pairs})
     for s in all_subsets(n):
         assert three[s] == 3 * fx[s]
+
+
+def test_float_and_string_weights_raise():
+    # 0.1 + 0.2 != 0.3 in binary, so a float weight read as its binary
+    # fraction broke the tie this relation needs; the decimal weights pass.
+    rels = pluecker_relations(3)
+    decimal = {(1,): Fraction(1, 10), (2,): Fraction(3, 10), (3,): 1,
+               (1, 2): 0, (1, 3): 0, (2, 3): Fraction(1, 5)}
+    assert trop_membership(decimal, rels)["passes"]
+    floats = {k: float(v) for k, v in decimal.items()}
+    with pytest.raises(TypeError):
+        trop_membership(floats, rels)
+    with pytest.raises(TypeError):
+        initial_form(floats, rels[0])
+    d = dict.fromkeys(pair_order(3), 1)
+    for bad in (0.5, "1/2", 1.0):
+        with pytest.raises(TypeError):
+            phi(3, {**d, (1, 2): bad})
+        with pytest.raises(TypeError):
+            phi(3, [bad, 1, 1])
