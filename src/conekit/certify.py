@@ -216,7 +216,7 @@ def criterion_cone_structure() -> tuple[bool, dict]:
         if not good:
             details.setdefault("failures", []).append(
                 {"type": c.label, "word": list(word),
-                 "tight": tight.__dict__, "negative": neg.__dict__}
+                 "tight": tight._asdict(), "negative": neg._asdict()}
             )
         ok = ok and good
     details["cases"] = len(cases)

@@ -110,7 +110,7 @@ def _roots_words(args):
 def _cone(build, parse, text: str, word_text: str):
     word = _parse_word(word_text)
     cone = build(parse(text), word)
-    return {"cone": cone.to_dict(), "profile": cone.analyze().__dict__}, 0
+    return {"cone": cone.to_dict(), "profile": cone.analyze()._asdict()}, 0
 
 
 @_command("cone", "lusztig", TYPE, WORD)

@@ -10,14 +10,12 @@ compares the degree cone against the negative cone of the dual root datum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .linalg import dot
 from .polycone import RationalCone, normalize_form
 from .quiverrep import ConsistencyFailure, DynkinQuiver, RepContext
-from .rootsys import CartanMatrix, beta_sequence, langlands_dual, tight_pairs
-
-Word = tuple[int, ...]
+from .rootsys import CartanMatrix, Record, beta_sequence, langlands_dual, tight_pairs
 
 
 def _term_form(size: int, k: int, l: int, inner) -> tuple[int, ...]:
@@ -142,15 +140,11 @@ def degree_cone(quiver: DynkinQuiver, word, ctx: RepContext | None = None) -> Ra
     return RationalCone.from_inequalities(ctx.N, forms)
 
 
-@dataclass(frozen=True)
-class ConeReport:
-    word: Word
-    quiver: str
-    verdict: str  # equal | strict_subset | violation
-    witness: dict | None
-    degree_cone: RationalCone
-    negative_cone: RationalCone
-    roots: tuple[tuple[int, ...], ...]
+class ConeReport(Record, namedtuple("ConeReport", (
+        "word quiver verdict witness degree_cone negative_cone roots"))):
+    """`verdict` is equal, strict_subset or violation."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         """The report as JSON data; each cone lists its given forms under

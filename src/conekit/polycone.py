@@ -27,12 +27,12 @@ equal, and the containing cone keeps the other's V-sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 from operator import itemgetter, mul
 
 from .linalg import dot, integerize, pack, primitive, row_space_basis
-from .rootsys import CapExceeded, VerificationFailure
+from .rootsys import CapExceeded, Record, VerificationFailure
 
 IntVec = tuple[int, ...]
 
@@ -260,13 +260,9 @@ def _both_sides(dim: int, forms: list[IntVec]):
     return (rays, lineality), (dual_rays, basis)
 
 
-@dataclass(frozen=True)
-class ConeProfile:
-    dimension: int
-    lineality_dim: int
-    ray_count: int
-    facet_count: int
-    is_simplicial_mod_lineality: bool
+class ConeProfile(Record, namedtuple("ConeProfile", (
+        "dimension lineality_dim ray_count facet_count is_simplicial_mod_lineality"))):
+    __slots__ = ()
 
 
 def _normalized(dim: int, forms) -> tuple[IntVec, ...]:

@@ -40,7 +40,7 @@ adapted word of the quiver reads its generators relabelled through the roots.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, compress
 from math import gcd, lcm
@@ -82,31 +82,33 @@ class ConsistencyFailure(rootsys.VerificationFailure):
     """The combinatorial mesh recipe contradicts the Euler form."""
 
 
-@dataclass(frozen=True)
-class DynkinQuiver:
-    """An orientation of a simply-laced Dynkin diagram on vertices 1..n."""
+class DynkinQuiver(rootsys.Record, namedtuple("DynkinQuiver", "cartan arrows")):
+    """An orientation of a simply-laced Dynkin diagram on vertices 1..n;
+    the arrows are stored as a tuple of int pairs (a float raises
+    TypeError)."""
 
-    cartan: CartanMatrix
-    arrows: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.cartan.rank
+    def __new__(cls, cartan: CartanMatrix, arrows):
+        arrows = tuple((index(s), index(t)) for s, t in arrows)
+        n = cartan.rank
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                if i != j and self.cartan.a(i, j) not in (0, -1):
-                    raise NotSimplyLaced(f"entry a[{i}][{j}] = {self.cartan.a(i, j)}")
+                if i != j and cartan.a(i, j) not in (0, -1):
+                    raise NotSimplyLaced(f"entry a[{i}][{j}] = {cartan.a(i, j)}")
         counts = {}
-        for s, t in self.arrows:
+        for s, t in arrows:
             if s == t or not (1 <= s <= n and 1 <= t <= n):
                 raise ValueError(f"bad arrow {s}>{t}")
             key = (min(s, t), max(s, t))
             counts[key] = counts.get(key, 0) + 1
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                if counts.get((i, j), 0) != -self.cartan.a(i, j):
+                if counts.get((i, j), 0) != -cartan.a(i, j):
                     raise ValueError(
                         f"arrow count between {i} and {j} does not match the diagram"
                     )
+        return super().__new__(cls, cartan, arrows)
 
     @property
     def n(self) -> int:
@@ -141,7 +143,7 @@ def quiver_from_arrows(n: int, arrows) -> DynkinQuiver:
             raise ValueError(f"bad arrow {s}>{t}")
         entries[s - 1][t - 1] -= 1
         entries[t - 1][s - 1] -= 1
-    cartan = cartan_from_entries(tuple(tuple(r) for r in entries))
+    cartan = cartan_from_entries(entries)
     return DynkinQuiver(cartan, arrows)
 
 
@@ -618,20 +620,16 @@ class RepContext:
         `degenerates_properly(x, U_k, U_l)`; a dimension mismatch there is
         a program fault too.
 
-        The goal U_k + U_l is packed once, one bit past the bit length of
-        cap = theta . dim(U_k + U_l), the width `_packed` picks for it. A
-        term is packed only once x >= 0 and theta . dim x = cap, which bound
-        every field of x by cap, so no field carries into the next. Where
-        that width is the walk's own (sized from 2 theta . theta, on 914 of
-        E8's 5,005 pairs for one word), it is one bit wider: the table read
-        here is then never the list the walk read, but one packed afresh
-        from the roots' fields, so a wrong field in the walk's table fails
-        here instead of passing twice.
+        The goal U_k + U_l and each term are packed one bit wider than the
+        walk, one table for the whole context. A term is packed only once
+        x >= 0 and theta . dim x = cap = theta . dim(U_k + U_l), which bound
+        every field of x by cap <= 2 theta . theta, so no field carries into
+        the next. The table read here is never the list the walk read, but
+        one packed afresh from the roots' fields, so a wrong field in the
+        walk's table fails here instead of passing twice.
         """
         cap = self._caps[k - 1] + self._caps[l - 1]
-        width = cap.bit_length() + 1
-        if width == self._width:
-            width += 1
+        width = self._width + 1
         guard, table = self._packing(width)
         goal = table[k - 1] + table[l - 1]
         caps = self._caps

@@ -13,7 +13,7 @@ Roots live in the simple-root basis as integer tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -43,13 +43,51 @@ class VerificationFailure(RuntimeError):
     """An exact invariant failed; the message is the witness (CLI exit 2)."""
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
-    """A finite-type Cartan matrix with its symmetrizers."""
+@lru_cache(maxsize=None)
+def _as_dataclass(cls):
+    """A frozen dataclass with the fields of the record class `cls`."""
+    from dataclasses import make_dataclass
+    return make_dataclass(cls.__name__, cls._fields, frozen=True)
 
-    entries: tuple[tuple[int, ...], ...]
-    sym: tuple[int, ...]
-    label: str = ""
+
+class _DataclassAttribute:
+    """A record's `__dataclass_fields__` or `__dataclass_params__`, read
+    off `_as_dataclass` on first use."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, record, cls):
+        return getattr(_as_dataclass(cls), self.name)
+
+
+class Record:
+    """Mixin of the package's records, each a `collections.namedtuple`
+    subclass: equality, hash and repr by fields, no field assignment, and no
+    `dataclasses` import when the package loads. `_replace` builds through
+    the constructor, so a record's checks run there too, and the
+    `dataclasses` functions (`replace`, `fields`, `asdict`) and `pprint`
+    take a record as they did when it was a frozen dataclass."""
+
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassAttribute()
+    __dataclass_params__ = _DataclassAttribute()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class CartanMatrix(Record, namedtuple("CartanMatrix", "entries sym label")):
+    """A finite-type Cartan matrix with its symmetrizers; entries and
+    symmetrizers are stored as tuples of ints (a float raises TypeError).
+    `cartan_from_entries` validates the matrix."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries, sym, label: str = ""):
+        return super().__new__(cls, tuple(tuple(map(index, row)) for row in entries),
+                               tuple(map(index, sym)), label)
 
     @property
     def rank(self) -> int:

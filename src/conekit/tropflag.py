@@ -8,12 +8,12 @@ only, which is the desk-checkable fragment of the full ideal condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
 from .linalg import dot, rank, rational
-from .rootsys import VerificationFailure
+from .rootsys import Record, VerificationFailure
 
 Subset = tuple[int, ...]
 Term = tuple[int, Subset, Subset]  # sign, A, B with A, B sorted tuples
@@ -30,9 +30,8 @@ class InvariantFailure(VerificationFailure):
     """An identity of the exchange relations or the weight map failed."""
 
 
-@dataclass(frozen=True)
-class PlueckerRelation:
-    terms: tuple[Term, ...]
+class PlueckerRelation(Record, namedtuple("PlueckerRelation", "terms")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         bits = []

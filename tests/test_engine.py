@@ -770,7 +770,7 @@ D4_QUIVER, D4_WORD = "1>2,2>3,2>4", "3,4,2,1,3,4,2,1,3,4,2,1"
 
 def _empty_hom_column(monkeypatch, t):
     # Only the walk's packing, at the context width, loses the column; the
-    # cross-check of (1, 10) sums at a narrower width, packed afresh.
+    # cross-check sums at one bit wider, from a table packed afresh.
     init = RepContext.__init__
 
     def patched(self, *args):
@@ -793,7 +793,8 @@ def test_wrong_hom_column_fails_the_cross_check(monkeypatch, capsys):
 
 def test_wrong_hom_column_fails_at_the_walks_own_width(monkeypatch):
     # theta . dim(U_3 + U_15) has the bit length of the walk's 2 theta . theta
-    # here, so the cross-check packs one bit wider to read a table of its own.
+    # here, so a width sized from this pair's cap would be the walk's own; the
+    # cross-check's width is one bit wider for every pair.
     _empty_hom_column(monkeypatch, 12)
     quiver = all_orientations(cartan_matrix("D", 6))[0]
     ctx = RepContext(quiver, first_adapted_word(quiver))
