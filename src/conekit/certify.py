@@ -2,10 +2,13 @@
 
 Each criterion is a check with an explicit wall-clock budget; the criteria
 share one `RepContext` per case (`_context`) and one cone report per case
-(`_report`), each built by whichever criterion first needs it. The test
-gate and the command-line frontend both run exactly these functions,
-so a pass here is a pass everywhere. All arithmetic is exact, so every
-criterion is a hard equality check, never a tolerance comparison.
+(`_report`), each built by whichever criterion first needs it. The middle
+terms are walked once per quiver, by one context (`_context` says which);
+the quiver's other words read them through `RepContext.relabelled`,
+re-checked in their own positions. The test gate and the command-line
+frontend both run exactly these functions, so a pass here is a pass
+everywhere. All arithmetic is exact, so every criterion is a hard equality
+check, never a tolerance comparison.
 """
 
 from __future__ import annotations
@@ -83,8 +86,16 @@ def _conjecture_cases() -> tuple[tuple[DynkinQuiver, tuple[int, ...]], ...]:
 
 @lru_cache(maxsize=None)
 def _context(quiver: DynkinQuiver, word: tuple[int, ...]) -> RepContext:
-    """One `RepContext` per case per process, shared by every criterion."""
-    return RepContext(quiver, word)
+    """One `RepContext` per case per process, shared by every criterion.
+
+    The quiver's first case in `_conjecture_cases`, or its first adapted
+    word if it has no case, walks its middle terms; any other word of the
+    quiver is that context `relabelled`, and reads them from it."""
+    first = next((w for q, w in _conjecture_cases() if q == quiver), None)
+    first = first or enumerate_adapted_words(quiver)[0]
+    if first == word:
+        return RepContext(quiver, word)
+    return _context(quiver, first).relabelled(word)
 
 
 @lru_cache(maxsize=None)
@@ -255,16 +266,13 @@ def criterion_hall_agreement() -> tuple[bool, dict]:
         quiver = equioriented_a(rank)
         for word in enumerate_adapted_words(quiver):
             ctx = _context(quiver, word)
-            for k, l in ctx.ext_pairs():
+            for (k, l), terms in ctx.oracle_middle_terms():
                 comm = q_commutator(
                     rank,
                     interval_of_root(ctx.betas[l - 1]),
                     interval_of_root(ctx.betas[k - 1]),
                 )
-                middles = {
-                    module_from_positions(ctx, m)
-                    for m in ctx.middle_terms(k, l, mode="oracle")
-                }
+                middles = {module_from_positions(ctx, m) for m in terms}
                 pairs_checked += 1
                 if set(comm.support()) != middles:
                     ok = False

@@ -253,13 +253,19 @@ def _paper_check(args):
     return {"passed": passed, "results": results}, 0 if passed else 2
 
 
-def build_parser() -> _Parser:
+def build_parser(argv=None) -> _Parser:
+    """The top-level parser and every group, with the verbs and flags only of
+    the groups named in argv (default sys.argv[1:]): argparse enters a
+    group only by its exact name, so no other group's verbs are read."""
+    named = set(sys.argv[1:] if argv is None else argv)
     parser = _Parser(prog="conekit", description=__doc__)
     parser.add_argument("--format", choices=("json",), default="json")
     sub = parser.add_subparsers(dest="group", required=True)
     groups = {group: sub.add_parser(group, help=text) for group, text in GROUPS.items()}
     verbs = {}
     for (group, verb), (text, flags, _) in COMMANDS.items():
+        if group not in named:
+            continue
         p = groups[group]
         if verb is not None:
             if group not in verbs:
@@ -281,7 +287,8 @@ def _inputs(args) -> dict:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     started = time.monotonic()
     verb = getattr(args, "verb", None)
     command = args.group if verb is None else f"{args.group}.{verb}"

@@ -27,7 +27,10 @@ against one packed goal per Ext pair at a width sized from the pair.
 `oracle_middle_terms` walks one Ext pair per τ-orbit
 and carries its terms along the AR translation to the others (Happel's
 triangle autoequivalence), re-checking every carried term; `middle_terms`
-still walks any single pair. `hom_leq_strict` and the filter mode compare
+still walks any single pair. A context keeps the oracle and relaxed terms
+it finds, and `relabelled` builds the context of another adapted word of
+the quiver that reads them through the roots, re-checked in its own
+positions, instead of walking. `hom_leq_strict` and the filter mode compare
 Hom dimensions by the same packed sums; the K-theory generators read each
 module's packed fields off the walk's remainder, target - remainder. The
 K-theory verdicts and witness come from the rays of the dual Hom-functional
@@ -82,6 +85,19 @@ class ConsistencyFailure(rootsys.VerificationFailure):
     """The combinatorial mesh recipe contradicts the Euler form."""
 
 
+@lru_cache(maxsize=None)
+def _edges(cartan: CartanMatrix) -> list[tuple[int, int]]:
+    """The pairs i < j joined in the diagram, in order, checked once per
+    matrix: NotSimplyLaced names the first off-diagonal entry outside
+    {0, -1}."""
+    n = cartan.rank
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j and cartan.a(i, j) not in (0, -1):
+                raise NotSimplyLaced(f"entry a[{i}][{j}] = {cartan.a(i, j)}")
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if cartan.a(i, j)]
+
+
 class DynkinQuiver(rootsys.Record, namedtuple("DynkinQuiver", "cartan arrows")):
     """An orientation of a simply-laced Dynkin diagram on vertices 1..n;
     the arrows are stored as a tuple of int pairs (a float raises
@@ -91,23 +107,18 @@ class DynkinQuiver(rootsys.Record, namedtuple("DynkinQuiver", "cartan arrows")):
 
     def __new__(cls, cartan: CartanMatrix, arrows):
         arrows = tuple((index(s), index(t)) for s, t in arrows)
-        n = cartan.rank
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j and cartan.a(i, j) not in (0, -1):
-                    raise NotSimplyLaced(f"entry a[{i}][{j}] = {cartan.a(i, j)}")
-        counts = {}
-        for s, t in arrows:
-            if s == t or not (1 <= s <= n and 1 <= t <= n):
-                raise ValueError(f"bad arrow {s}>{t}")
-            key = (min(s, t), max(s, t))
-            counts[key] = counts.get(key, 0) + 1
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                if counts.get((i, j), 0) != -cartan.a(i, j):
-                    raise ValueError(
-                        f"arrow count between {i} and {j} does not match the diagram"
-                    )
+        edges = _edges(cartan)
+        # one arrow per edge of the diagram, else the first fault by name
+        if sorted((s, t) if s < t else (t, s) for s, t in arrows) != edges:
+            n = cartan.rank
+            counts = dict.fromkeys(edges, 0)
+            for s, t in arrows:
+                if s == t or not (1 <= s <= n and 1 <= t <= n):
+                    raise ValueError(f"bad arrow {s}>{t}")
+                key = (min(s, t), max(s, t))
+                counts[key] = counts.get(key, 0) + 1
+            i, j = min(key for key, count in counts.items() if count != (key in edges))
+            raise ValueError(f"arrow count between {i} and {j} does not match the diagram")
         return super().__new__(cls, cartan, arrows)
 
     @property
@@ -421,6 +432,10 @@ class RepContext:
         guard, table = self._packing(self._width)
         self._dims = dims = (1 << self._width * self.n) - 1
         self._dims_only = guard & dims, [c & dims for c in table]
+        # the kept middle terms per mode, {(k, l): terms} in `ext_pairs`
+        # order, and the context and position map `relabelled` reads them from
+        self._kept: dict[str, dict[tuple[int, int], list[Mult]]] = {}
+        self._source: tuple[RepContext, list[int]] | None = None
 
     # -- constituents ------------------------------------------------------
 
@@ -650,8 +665,9 @@ class RepContext:
                     f"middle term {x} of ({k},{l}) fails the degeneration test")
 
     def oracle_middle_terms(self):
-        """Yield ((k, l), middle_terms(k, l)) for every pair of `ext_pairs`,
-        one τ-orbit at a time, walking only the top pair of each orbit.
+        """The kept ((k, l), middle_terms(k, l)) of every pair of `ext_pairs`,
+        in that order, found once per context: by walking only the top pair
+        of each τ-orbit, or through `relabelled`.
 
         Why the carry is exact. For a Dynkin quiver Q the AR translation τ is
         a triangle autoequivalence of D^b(kQ) (Happel 1988, "Triangulated
@@ -680,17 +696,21 @@ class RepContext:
         vector or failing the Hom order, or an Ext pair no chain reaches,
         raises ConsistencyFailure.
         """
+        if "oracle" not in self._kept:
+            self._kept["oracle"] = self._relabel("oracle") if self._source else self._carry()
+        return self._kept["oracle"].items()
+
+    def _carry(self) -> dict[tuple[int, int], list[Mult]]:
+        """The τ-orbit walk and carry of `oracle_middle_terms`."""
         tau = self.translation
         later = set(tau.values())  # the positions with a τ^-1
         pairs = self.ext_pairs()
         ext = set(pairs)
-        done = 0
+        found = {}
         for k, l in pairs:
             if k in later and l in later:
                 continue  # carried down from (τ^-1 k, τ^-1 l)
-            terms = self.middle_terms(k, l)
-            yield (k, l), terms
-            done += 1
+            terms = found[k, l] = self.middle_terms(k, l)
             while k in tau and l in tau:
                 if (tau[k], tau[l]) not in ext:
                     raise ConsistencyFailure(
@@ -698,11 +718,77 @@ class RepContext:
                 terms = sorted(self._translate(x, k, l) for x in terms)
                 k, l = tau[k], tau[l]
                 self._recheck(terms, k, l)
-                yield (k, l), terms
-                done += 1
-        if done != len(pairs):
+                found[k, l] = terms
+        if len(found) != len(pairs):
             raise ConsistencyFailure(
-                f"the τ-orbits reach {done} of {len(pairs)} Ext pairs")
+                f"the τ-orbits reach {len(found)} of {len(pairs)} Ext pairs")
+        return {p: found[p] for p in pairs}
+
+    def relaxed_middle_terms(self):
+        """The kept ((k, l), middle_terms(k, l, 'relaxed')) of every pair of
+        `ext_pairs`, in that order, walked once per context or read through
+        `relabelled`."""
+        if "relaxed" not in self._kept:
+            self._kept["relaxed"] = self._relabel("relaxed") if self._source else {
+                p: self.middle_terms(*p, mode="relaxed") for p in self.ext_pairs()}
+        return self._kept["relaxed"].items()
+
+    def relabelled(self, word) -> RepContext:
+        """The context of another adapted word of this quiver, built by the
+        constructor, that reads this context's middle terms instead of
+        walking its own: each mode's terms, the first time it asks for them.
+
+        A middle term is a module, and an adapted word only names each
+        indecomposable U_beta by its position (Gabriel 1972). So position t
+        here becomes the position of betas[t] in `word`, and the terms of
+        (k, l) become those of the image pair, sorted into the walk's order.
+        The new context checks what it reads, in its own positions: the
+        image pairs must be exactly its own `ext_pairs` (the adapted words
+        of a quiver form one commutation class, Bédard 1999, so comparable
+        roots keep their order); every oracle term passes its `_recheck`;
+        every relaxed term lies in its path-order window with dimension
+        vector beta_k + beta_l. Anything else raises ConsistencyFailure. A
+        word that is not adapted to this quiver raises NotAdapted, a
+        ValueError, from the constructor.
+        """
+        other = RepContext(self.quiver, word)
+        at = {b: t for t, b in enumerate(self.betas)}
+        other._source = self, [at[b] for b in other.betas]
+        return other
+
+    def _relabel(self, mode: str) -> dict[tuple[int, int], list[Mult]]:
+        """The source's kept terms of `mode` at this context's positions,
+        checked as `relabelled` says."""
+        source, back = self._source  # back[t]: the source index of root t here
+        kept = dict(source.oracle_middle_terms() if mode == "oracle"
+                    else source.relaxed_middle_terms())
+        pairs = self.ext_pairs()
+        image = [(back[k - 1] + 1, back[l - 1] + 1) for k, l in pairs]
+        if kept.keys() != set(image):
+            raise ConsistencyFailure(
+                f"the Ext pairs of {self.word} come from the pairs {sorted(image)} of "
+                f"{source.word}, which keeps {mode} terms on {sorted(kept)}")
+        check = self._recheck if mode == "oracle" else self._check_relaxed
+        move = itemgetter(*back)
+        out = {}
+        for (k, l), p in zip(pairs, image):
+            out[k, l] = sorted(map(move, kept[p]))
+            check(out[k, l], k, l)
+        return out
+
+    def _check_relaxed(self, terms, k: int, l: int) -> None:
+        """ConsistencyFailure unless each term x of (k, l) is >= 0, has its
+        support inside the path-order window strictly between k and l, and
+        has dimension vector beta_k + beta_l: what the relaxed walk keeps."""
+        window = self._reach[k] & self._downset[l] & ~(1 << k | 1 << l)
+        goal = list(map(add, self.betas[k - 1], self.betas[l - 1]))
+        for x in terms:
+            if min(x) < 0 or any(m and not window >> t & 1 for t, m in enumerate(x, start=1)):
+                raise ConsistencyFailure(
+                    f"relaxed term {x} of ({k},{l}) is not a module in the path-order window")
+            if [dot(x, col) for col in zip(*self.betas)] != goal:
+                raise ConsistencyFailure(
+                    f"relaxed term {x} of ({k},{l}) has the wrong dimension vector")
 
     def _translate(self, x, k: int, l: int) -> Mult:
         """τ of the middle term x of (k, l), summand by summand."""
@@ -730,7 +816,8 @@ class RepContext:
         return list(compress(terms, self._hom_leq(terms, self.unit(l), zs)))
 
     def superfluous_check(self) -> dict:
-        """Compare the relaxed window filter against the degeneration oracle.
+        """Compare the relaxed window filter against the degeneration oracle,
+        pair by pair, on the kept terms of both.
 
         A candidate passing the window conditions but failing the oracle is a
         counterexample to the claim that the Hom comparison is redundant; it
@@ -738,9 +825,9 @@ class RepContext:
         """
         pairs = []
         counterexamples = []
-        for k, l in self.ext_pairs():
-            oracle = self.middle_terms(k, l, mode="oracle")
-            relaxed = self.middle_terms(k, l, mode="relaxed")
+        kept = dict(self.oracle_middle_terms())
+        for (k, l), relaxed in self.relaxed_middle_terms():
+            oracle = kept[k, l]
             missing = [x for x in oracle if x not in relaxed]
             if missing:
                 raise ConsistencyFailure(

@@ -95,3 +95,23 @@ def test_run_all_builds_each_case_once(monkeypatch):
         ]
 
     assert untimed(second) == untimed(first)
+
+
+def test_run_all_walks_each_quiver_once(monkeypatch):
+    # The middle terms of one quiver are walked by one of its contexts;
+    # every other adapted word of the quiver reads them relabelled.
+    certify._context.cache_clear()
+    certify._report.cache_clear()
+    walked = {}
+    walk = RepContext.middle_terms
+
+    def counted(self, k, l, mode="oracle"):
+        walked.setdefault((self.quiver, mode), set()).add(self.word)
+        return walk(self, k, l, mode)
+
+    monkeypatch.setattr(RepContext, "middle_terms", counted)
+    assert run_all()["passed"]
+    quivers = {quiver for quiver, _ in certify._conjecture_cases()}
+    assert {quiver for quiver, _ in walked} >= quivers
+    assert {mode for _, mode in walked} == {"oracle", "relaxed"}
+    assert all(len(words) == 1 for words in walked.values()), walked

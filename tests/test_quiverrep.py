@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conekit import hallalg, rootsys
+from conekit import conelab, hallalg, rootsys
 from conekit.rootsys import CapExceeded, NotReduced, cartan_matrix
 from conekit.quiverrep import (
     ConsistencyFailure,
@@ -364,3 +364,68 @@ def test_ktheory_cones_a2():
     assert out["lambda_rank"] == 1
     assert out["lambda_basis"] == [[1, -1, 1]]
     assert out["D_count"] == 1
+
+
+# -- relabelled contexts read one walk per quiver -------------------------------
+
+
+def _adapted_quivers():
+    yield from all_orientations(cartan_matrix("A", 3))
+    yield from all_orientations(cartan_matrix("A", 4))
+    yield parse_quiver("1>2,3>2,4>2")
+
+
+@pytest.mark.parametrize("quiver", list(_adapted_quivers()), ids=str)
+def test_relabelled_terms_match_a_fresh_walk(quiver):
+    # The first adapted word walks; every other word reads its terms through
+    # the roots, and must find what a walk of its own finds.
+    first, *words = enumerate_adapted_words(quiver)
+    source = RepContext(quiver, first)
+    for word in words:
+        fresh, ctx = RepContext(quiver, word), source.relabelled(word)
+        assert ctx.word == word
+        assert dict(ctx.oracle_middle_terms()) == {
+            p: fresh.middle_terms(*p) for p in fresh.ext_pairs()}
+        assert dict(ctx.relaxed_middle_terms()) == {
+            p: fresh.middle_terms(*p, mode="relaxed") for p in fresh.ext_pairs()}
+        got = conelab.check_conjecture(quiver, word, ctx=ctx)
+        want = conelab.check_conjecture(quiver, word, ctx=fresh)
+        assert got.verdict == want.verdict == "equal"
+        assert got.degree_cone.inequalities == want.degree_cone.inequalities
+        assert ctx.superfluous_check() == fresh.superfluous_check()
+
+
+def _relabelled_pair():
+    quiver = parse_quiver("1>2,3>2,4>2")
+    first, second = enumerate_adapted_words(quiver)[:2]
+    return RepContext(quiver, first), second
+
+
+@pytest.mark.parametrize("mode", ["oracle", "relaxed"])
+def test_a_tampered_kept_term_fails_the_relabelled_check(mode):
+    source, word = _relabelled_pair()
+    kept = dict(getattr(source, f"{mode}_middle_terms")())
+    terms = next(terms for terms in kept.values() if terms)
+    x = list(terms[0])
+    x[x.index(0)] = 1  # one multiplicity changed: the dimension vector is off
+    terms[0] = tuple(x)
+    with pytest.raises(ConsistencyFailure):
+        getattr(source.relabelled(word), f"{mode}_middle_terms")()
+
+
+@pytest.mark.parametrize("mode", ["oracle", "relaxed"])
+def test_a_dropped_ext_pair_fails_the_relabelled_check(mode):
+    source, word = _relabelled_pair()
+    getattr(source, f"{mode}_middle_terms")()
+    del source._kept[mode][source.ext_pairs()[-1]]
+    with pytest.raises(ConsistencyFailure, match="Ext pairs"):
+        getattr(source.relabelled(word), f"{mode}_middle_terms")()
+
+
+def test_relabelled_takes_only_words_of_its_quiver():
+    source = _staircase_ctx()
+    other = all_orientations(cartan_matrix("A", 3))[1]
+    word = enumerate_adapted_words(other)[0]
+    assert not is_adapted(source.quiver, word)
+    with pytest.raises(ValueError):
+        source.relabelled(word)

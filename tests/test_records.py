@@ -20,6 +20,7 @@ from conekit import (
     parse_quiver,
     pluecker_relations,
 )
+from conekit.quiverrep import NotSimplyLaced
 
 
 def _cartan():
@@ -126,3 +127,26 @@ def test_bool_arrow_ends_are_stored_as_ints():
     quiver = DynkinQuiver(cartan_matrix("A", 2), ((True, 2),))
     assert str(quiver) == "1>2"
     assert type(quiver.arrows[0][0]) is int
+
+
+@pytest.mark.parametrize("arrows, message", [
+    (((1, 2),), "arrow count between 2 and 3 does not match the diagram"),
+    (((1, 2), (2, 3), (3, 2)), "arrow count between 2 and 3 does not match the diagram"),
+    (((1, 3), (2, 3)), "arrow count between 1 and 2 does not match the diagram"),
+    (((1, 2), (2, 1), (2, 3)), "arrow count between 1 and 2 does not match the diagram"),
+    (((2, 1), (3, 1)), "arrow count between 1 and 3 does not match the diagram"),
+    (((1, 1), (2, 3)), "bad arrow 1>1"),
+    (((1, 2), (2, 4)), "bad arrow 2>4"),
+])
+def test_quiver_names_its_first_fault(arrows, message):
+    # The diagram is read once per Cartan matrix; each quiver's arrows are
+    # still checked against it, the first fault named.
+    with pytest.raises(ValueError) as caught:
+        DynkinQuiver(cartan_matrix("A", 3), arrows)
+    assert str(caught.value) == message
+
+
+def test_a_non_simply_laced_matrix_is_refused_every_time():
+    for _ in range(2):
+        with pytest.raises(NotSimplyLaced, match=r"entry a\[1\]\[2\] = -2"):
+            DynkinQuiver(cartan_matrix("B", 2), ((1, 2),))
