@@ -14,7 +14,6 @@ from .rootsys import (
     NotReduced,
     VerificationFailure,
     beta_sequence,
-    cartan_from_entries,
     cartan_matrix,
     enumerate_reduced_words,
     highest_root,

@@ -207,11 +207,11 @@ def criterion_cone_structure() -> tuple[bool, dict]:
     for family, rank in (("A", 3), ("B", 2), ("G", 2)):
         c = cartan_matrix(family, rank)
         for word in enumerate_reduced_words(c):
-            cases.append((c, word))
-    a3_words = sum(1 for c, _ in cases if c.label == "A3")
+            cases.append((f"{family}{rank}", c, word))
+    a3_words = sum(1 for name, _, _ in cases if name == "A3")
     ok = a3_words == 16
     details = {"words": {"A3": a3_words}}
-    for c, word in cases:
+    for name, c, word in cases:
         n = c.rank
         big_n = num_positive_roots(c)
         tight = lusztig_cone(c, word).analyze()
@@ -226,7 +226,7 @@ def criterion_cone_structure() -> tuple[bool, dict]:
         )
         if not good:
             details.setdefault("failures", []).append(
-                {"type": c.label, "word": list(word),
+                {"type": name, "word": list(word),
                  "tight": tight._asdict(), "negative": neg._asdict()}
             )
         ok = ok and good
@@ -305,7 +305,7 @@ def criterion_root_sums() -> tuple[bool, dict]:
     for family, rank in (("A", 2), ("A", 3), ("B", 2), ("G", 2)):
         c = cartan_matrix(family, rank)
         words = enumerate_reduced_words(c)
-        counts[c.label] = len(words)
+        counts[f"{family}{rank}"] = len(words)
         for word in words:
             if not root_sum_identity(c, word):
                 ok = False

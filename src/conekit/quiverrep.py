@@ -56,7 +56,6 @@ from .rootsys import (
     CapExceeded,
     CartanMatrix,
     beta_sequence,
-    cartan_from_entries,
     highest_root,
     longest_words,
     num_positive_roots,
@@ -69,7 +68,8 @@ MAX_MULTISETS = 100_000  # results of one bounded_multisets call
 
 # `RepContext._extension_generators` per (quiver, walked bound), each delta in
 # root coordinates: coordinate i is the multiplicity of the i-th root of
-# sorted(betas), the same list for every adapted word of the quiver.
+# sorted(betas), the same list for every adapted word of the quiver. It holds
+# one quiver at a time: a walk for another quiver drops the previous entries.
 _EXTENSION_GENERATORS: dict[tuple[DynkinQuiver, int], dict[Mult, int]] = {}
 
 
@@ -154,8 +154,7 @@ def quiver_from_arrows(n: int, arrows) -> DynkinQuiver:
             raise ValueError(f"bad arrow {s}>{t}")
         entries[s - 1][t - 1] -= 1
         entries[t - 1][s - 1] -= 1
-    cartan = cartan_from_entries(entries)
-    return DynkinQuiver(cartan, arrows)
+    return DynkinQuiver(CartanMatrix(entries), arrows)
 
 
 def parse_quiver(text: str) -> DynkinQuiver:
@@ -187,13 +186,7 @@ def equioriented_a(n: int) -> DynkinQuiver:
 def all_orientations(cartan: CartanMatrix) -> list[DynkinQuiver]:
     """Every orientation of the (simply-laced) diagram, in a fixed order;
     CapExceeded, before building any, past ``rootsys.MAX_WORDS`` of them."""
-    n = cartan.rank
-    edges = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if cartan.a(i, j) < 0
-    ]
+    edges = _edges(cartan)
     if 1 << len(edges) > rootsys.MAX_WORDS:
         raise CapExceeded(f"more than {rootsys.MAX_WORDS} orientations")
     out = []
@@ -500,10 +493,6 @@ class RepContext:
         every = range(1, self.N + 1)
         self.projectives = tuple(p for p in every if p not in self.translation)
         self.injectives = tuple(p for p in every if not inverse[p])
-
-    def preceq(self, k: int, l: int) -> bool:
-        """Path order: a (possibly empty) chain of mesh arrows from k to l."""
-        return bool(self._reach[k] >> l & 1)
 
     def _validate(self):
         table = self._euler
@@ -1017,7 +1006,8 @@ class RepContext:
         Ext zero both ways; so each word finds the same pairs at the same
         heights, relabelled. The kernel basis, the mesh certificate, the
         kernel check in each coordinate change and `stabilized` stay per
-        word.
+        word. The memo holds one quiver at a time, so a sweep reads it only
+        while one quiver's words come in a row.
         """
         bound = self.default_ktheory_bound() if bound is None else index(bound)
         lam = nullspace_basis(list(zip(*self.betas)))  # kernel of m -> dim(m)
@@ -1050,6 +1040,8 @@ class RepContext:
         order = sorted(range(self.N), key=self.betas.__getitem__)
         key = self.quiver, walk
         if key not in _EXTENSION_GENERATORS:
+            if any(quiver != self.quiver for quiver, _ in _EXTENSION_GENERATORS):
+                _EXTENSION_GENERATORS.clear()
             to_roots = itemgetter(*order)
             _EXTENSION_GENERATORS[key] = {
                 to_roots(d): h for d, h in self._extension_generators(walk).items()}

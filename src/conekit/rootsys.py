@@ -78,16 +78,32 @@ class Record:
         return cls(*fields)
 
 
-class CartanMatrix(Record, namedtuple("CartanMatrix", "entries sym label")):
-    """A finite-type Cartan matrix with its symmetrizers; entries and
-    symmetrizers are stored as tuples of ints (a float raises TypeError).
-    `cartan_from_entries` validates the matrix."""
+class CartanMatrix(Record, namedtuple("CartanMatrix", "entries")):
+    """A finite-type Cartan matrix, stored as its entries: a tuple of rows of
+    ints, so equal entries give equal matrices. The constructor (and so
+    `_replace`) refuses what is not finite-type Cartan data: a non-int entry
+    (a float such as 2.0 included) raises TypeError, every other fault
+    ValueError."""
 
     __slots__ = ()
 
-    def __new__(cls, entries, sym, label: str = ""):
-        return super().__new__(cls, tuple(tuple(map(index, row)) for row in entries),
-                               tuple(map(index, sym)), label)
+    def __new__(cls, entries):
+        rows = tuple(tuple(map(index, row)) for row in entries)
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError("matrix is not square")
+        for i in range(n):
+            if rows[i][i] != 2:
+                raise ValueError("diagonal entries must equal 2")
+            for j in range(n):
+                if i != j:
+                    if rows[i][j] > 0:
+                        raise ValueError("off-diagonal entries must be <= 0")
+                    if (rows[i][j] == 0) != (rows[j][i] == 0):
+                        raise ValueError("zero pattern must be symmetric")
+        if not _is_positive_definite(rows, _symmetrizers(rows)):
+            raise ValueError("matrix is not of finite type")
+        return super().__new__(cls, rows)
 
     @property
     def rank(self) -> int:
@@ -141,28 +157,6 @@ def _is_positive_definite(entries, sym) -> bool:
                            for x, y in zip(row[c + 1:], top[c + 1:])]
         prev = pivot
     return True
-
-
-def cartan_from_entries(entries, label: str = "") -> CartanMatrix:
-    """Validate an integer matrix as finite-type Cartan data; a non-int
-    entry (a float such as 2.0 included) raises TypeError."""
-    rows = tuple(tuple(map(index, row)) for row in entries)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix is not square")
-    for i in range(n):
-        if rows[i][i] != 2:
-            raise ValueError("diagonal entries must equal 2")
-        for j in range(n):
-            if i != j:
-                if rows[i][j] > 0:
-                    raise ValueError("off-diagonal entries must be <= 0")
-                if (rows[i][j] == 0) != (rows[j][i] == 0):
-                    raise ValueError("zero pattern must be symmetric")
-    sym = _symmetrizers(rows)
-    if not _is_positive_definite(rows, sym):
-        raise ValueError("matrix is not of finite type")
-    return CartanMatrix(rows, sym, label)
 
 
 def _chain(n: int) -> list[list[int]]:
@@ -228,7 +222,7 @@ def cartan_matrix(family: str, rank: int) -> CartanMatrix:
         if n != 2:
             raise ValueError("G requires rank 2")
         m = [[2, -1], [-3, 2]]
-    return cartan_from_entries(m, f"{family}{n}")
+    return CartanMatrix(m)
 
 
 def parse_type(text: str) -> CartanMatrix:
@@ -241,18 +235,12 @@ def parse_type(text: str) -> CartanMatrix:
 
 @lru_cache(maxsize=None)
 def langlands_dual(c: CartanMatrix) -> CartanMatrix:
-    """Transpose of the Cartan matrix, with symmetrizers recomputed.
+    """The transpose of the Cartan matrix.
 
-    >>> langlands_dual(cartan_matrix("B", 2)).label
-    'C2'
+    >>> langlands_dual(cartan_matrix("B", 2)) == cartan_matrix("C", 2)
+    True
     """
-    entries = tuple(tuple(c.entries[j][i] for j in range(c.rank)) for i in range(c.rank))
-    label = c.label
-    if label.startswith("B"):
-        label = "C" + label[1:]
-    elif label.startswith("C"):
-        label = "B" + label[1:]
-    return cartan_from_entries(entries, label)
+    return CartanMatrix(zip(*c.entries))
 
 
 def reflect_step(c: CartanMatrix, m, letter: int):

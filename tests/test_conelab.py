@@ -132,6 +132,14 @@ def test_context_of_another_case_is_rejected():
     assert shared.to_dict() == check_conjecture(q, word).to_dict()
 
 
+def test_context_of_an_equal_quiver_is_accepted():
+    # the same quiver built by another route is the same quiver
+    twin = all_orientations(cartan_matrix("A", 3))[0]
+    word = staircase_word(3)
+    shared = check_conjecture(equioriented_a(3), word, ctx=RepContext(twin, word))
+    assert shared.to_dict() == check_conjecture(twin, word).to_dict()
+
+
 def test_check_conjecture_staircase():
     report = check_conjecture(equioriented_a(3), staircase_word(3))
     assert report.verdict == "equal"

@@ -486,12 +486,12 @@ def test_context_tables_match_the_pairwise_routes():
         assert ctx.projectives == tuple(k for k in every if word[k - 1] not in word[:k - 1])
         assert ctx.injectives == tuple(k for k in every if word[k - 1] not in word[k:])
         reach = reach_by_closure(ctx)
-        assert all(ctx.preceq(k, l) == (l in reach[k]) for k in every for l in every)
+        assert all(bool(ctx._reach[k] >> l & 1) == (l in reach[k]) for k in every for l in every)
         assert all(bool(ctx._downset[l] >> k & 1) == (l in reach[k])
                    for k in every for l in every)
         for outside in (0, ctx.N + 1):
             with pytest.raises(KeyError):
-                ctx.preceq(outside, 1)
+                ctx._reach[outside]
             with pytest.raises(KeyError):
                 ctx._downset[outside]
         assert ctx._fields == [b + tuple(ctx.hom_indec(z, t) for z in every)
@@ -558,6 +558,17 @@ def test_ktheory_from_a_warm_memo_matches_a_cold_one():
     for quiver, word, bounds in reversed(cases):
         for bound in bounds:
             assert _report_or_error(quiver, word, bound) == cold[word, bound]
+
+
+def test_the_ktheory_memo_holds_one_quiver_at_a_time():
+    a3 = all_orientations(cartan_matrix("A", 3))
+    for quiver in a3[:2]:
+        for word in enumerate_adapted_words(quiver):
+            ktheory_cones(quiver, word)
+            assert {q for q, _ in quiverrep._EXTENSION_GENERATORS} == {quiver}
+    ktheory_cones(a3[1], enumerate_adapted_words(a3[1])[0], 7)
+    assert {q for q, _ in quiverrep._EXTENSION_GENERATORS} == {a3[1]}
+    assert len(quiverrep._EXTENSION_GENERATORS) == 2
 
 
 @pytest.mark.parametrize("bound", [2.5, 8.0, 2.0])

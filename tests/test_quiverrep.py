@@ -55,6 +55,15 @@ def test_equioriented_shape():
     assert q.sinks() == (4,)
 
 
+def test_equal_quivers_built_by_other_routes():
+    # A quiver is its matrix's entries and its arrows, in order.
+    a3 = all_orientations(cartan_matrix("A", 3))
+    assert [str(q) for q in a3] == ["1>2,2>3", "2>1,2>3", "1>2,3>2", "2>1,3>2"]
+    assert equioriented_a(3) == a3[0] == parse_quiver("1>2,2>3")
+    assert parse_quiver("1>2,3>2,4>2") in all_orientations(cartan_matrix("D", 4))
+    assert parse_quiver("2>3,1>2") != a3[0]
+
+
 def test_adaptedness():
     q = equioriented_a(3)
     assert is_adapted(q, STAIR3)

@@ -6,9 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 from conekit import rootsys
 from conekit.rootsys import (
     CapExceeded,
+    CartanMatrix,
     NotReduced,
     beta_sequence,
-    cartan_from_entries,
     cartan_matrix,
     enumerate_reduced_words,
     highest_root,
@@ -55,9 +55,29 @@ def test_parse_type_rejects_garbage():
 
 def test_cartan_from_entries_validates():
     with pytest.raises(ValueError):
-        cartan_from_entries(((2, 1), (1, 2)))
+        CartanMatrix(((2, 1), (1, 2)))
     with pytest.raises(ValueError):
-        cartan_from_entries(((2, -1), (-1, 0)))
+        CartanMatrix(((2, -1), (-1, 0)))
+
+
+@pytest.mark.parametrize("entries, message", [
+    (((2, -1),), "matrix is not square"),
+    (((2, -1), (-1, 1)), "diagonal entries must equal 2"),
+    (((2, 1), (1, 2)), "off-diagonal entries must be <= 0"),
+    (((2, -1), (0, 2)), "zero pattern must be symmetric"),
+    # d_2 = d_1 / 2 from the first edge, d_3 = d_2 and d_1 = d_3 around the cycle
+    (((2, -1, -1), (-2, 2, -1), (-1, -1, 2)), "matrix is not symmetrizable"),
+    (((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), "matrix is not of finite type"),  # affine A2
+    (((2, -2), (-2, 2)), "matrix is not of finite type"),  # affine A1
+    (((2, -3), (-3, 2)), "matrix is not of finite type"),  # hyperbolic rank 2
+])
+def test_the_constructor_names_each_fault(entries, message):
+    with pytest.raises(ValueError) as caught:
+        CartanMatrix(entries)
+    assert str(caught.value) == message
+    with pytest.raises(ValueError) as caught:
+        A2._replace(entries=entries)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("entries", [
@@ -67,7 +87,7 @@ def test_cartan_from_entries_validates():
 ])
 def test_cartan_from_entries_rejects_non_int_entries(entries):
     with pytest.raises(TypeError):
-        cartan_from_entries(entries)
+        CartanMatrix(entries)
 
 
 FINITE_TYPES = (
@@ -95,7 +115,7 @@ def test_sylvester_by_bareiss_matches_fractions():
         assert not rootsys._is_positive_definite(entries, sym)
         assert not positive_definite_by_fractions(entries, sym)
         with pytest.raises(ValueError, match="^matrix is not of finite type$"):
-            cartan_from_entries(entries)
+            CartanMatrix(entries)
 
 
 _EDGES = [(0, 0), (-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1), (-2, -2), (-1, -4)]
@@ -122,8 +142,13 @@ def test_sylvester_by_bareiss_matches_fractions_on_random_matrices(problem):
 
 def test_langlands_dual_transposes():
     assert langlands_dual(B2).entries == ((2, -1), (-2, 2))
-    assert langlands_dual(A3).entries == A3.entries
-    assert langlands_dual(langlands_dual(G2)).entries == G2.entries
+    assert langlands_dual(A3) == A3
+    assert langlands_dual(langlands_dual(G2)) == G2
+    for n in range(2, 6):
+        assert langlands_dual(cartan_matrix("B", n)) == cartan_matrix("C", n)
+    for c in (cartan_matrix("F", 4), G2):
+        dual = langlands_dual(c)
+        assert dual != c and dual.entries == tuple(zip(*c.entries))
 
 
 @pytest.mark.parametrize(
