@@ -115,6 +115,14 @@ def test_quiver_rejects_non_int_arrows(arrows):
         DynkinQuiver(cartan_matrix("A", 2), arrows)
 
 
+@pytest.mark.parametrize("entries, sym", [([[2.0, -1], [-1, 2]], [1, 1])])
+def test_cartan_matrix_rejects_non_int_entries(entries, sym):
+    with pytest.raises(TypeError):
+        CartanMatrix(entries)
+    with pytest.raises(TypeError):  # a symmetrizer is no longer an argument
+        CartanMatrix([[int(x) for x in row] for row in entries], sym)
+
+
 def test_bool_arrow_ends_are_stored_as_ints():
     quiver = DynkinQuiver(cartan_matrix("A", 2), ((True, 2),))
     assert str(quiver) == "1>2"
